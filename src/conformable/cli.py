@@ -147,7 +147,9 @@ def _cmd_integ(args) -> int:
 
 
 def _sweep_values(start: float, stop: float, steps: int) -> list[float]:
-    return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
+    # Pin the endpoints: the formula at i = steps - 1 can round past stop.
+    inner = [start + (stop - start) * i / (steps - 1) for i in range(1, steps - 1)]
+    return [start, *inner, stop]
 
 
 def _cmd_sweep(args) -> int:

@@ -106,31 +106,35 @@ def _div(num: Dual, den: Dual) -> Dual:
 
 def power(base: Dual, expo: Dual) -> Dual:
     """base ** expo with the chain rule; negative bases need integer exponents."""
-    b, e = base.value, expo.value
-    if expo.deriv == 0.0:
+    return Dual(*power_pair(base.value, base.deriv, expo.value, expo.deriv))
+
+
+def power_pair(b: float, db: float, e: float, de: float) -> tuple[float, float]:
+    """`power` on (value, derivative) pairs of plain floats."""
+    if de == 0.0:
         # Constant exponent: d/dt b^e = e * b^(e-1) * b'.
         if b > 0.0:
-            return Dual(math.pow(b, e), e * math.pow(b, e - 1.0) * base.deriv)
+            return math.pow(b, e), e * math.pow(b, e - 1.0) * db
         if b == 0.0:
             if e == 0.0:
-                return Dual(1.0, 0.0)
+                return 1.0, 0.0
             if e == 1.0:
-                return Dual(0.0, base.deriv)
+                return 0.0, db
             if e > 1.0:
-                return Dual(0.0, 0.0)
+                return 0.0, 0.0
             if e > 0.0:
                 raise NonDifferentiableError(
                     f"x^{e!r} has no finite derivative at x = 0"
                 )
             raise DomainError("zero base with non-positive exponent")
         if float(e).is_integer():
-            return Dual(math.pow(b, e), e * math.pow(b, e - 1.0) * base.deriv)
+            return math.pow(b, e), e * math.pow(b, e - 1.0) * db
         raise DomainError("negative base with non-integer exponent")
     # Variable exponent: b^e = exp(e ln b) requires b > 0.
     if b <= 0.0:
         raise DomainError("variable exponent requires a positive base")
     v = math.pow(b, e)
-    return Dual(v, v * (expo.deriv * math.log(b) + e * base.deriv / b))
+    return v, v * (de * math.log(b) + e * db / b)
 
 
 def sin(x: Dual) -> Dual:

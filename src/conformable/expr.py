@@ -1,4 +1,4 @@
-"""One-variable expression mini-language: parser, printer, evaluators.
+"""One-variable expression mini-language: parser, printer, compiled evaluation.
 
 Implemented grammar (standard precedence, `^` binds tighter than unary
 minus and associates to the right)::
@@ -12,19 +12,27 @@ minus and associates to the right)::
 
 The only free variable is ``t``.  ``pow(a, b)`` is sugar for ``a^b``.
 Numbers are double-precision literals (``2``, ``0.4``, ``1e-3``, ``.5``).
+Source nested more than `MAX_DEPTH` levels deep (each operator, call and
+parenthesised group is a level) is rejected with `ParseError`.
+
+Evaluation lowers each body, once per path, to a straight-line Python
+function: the float path gives f(t), the pair path (f(t), f'(t)) in forward
+mode.  The function is compiled on the first evaluation of its path.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Union
 
 from . import dual as _d
 from .dual import Dual
 from .errors import (
     DomainError,
+    NonDifferentiableError,
     NonFiniteError,
     ParseError,
     UnknownIdentifierError,
@@ -48,34 +56,44 @@ __all__ = [
     "unparse",
 ]
 
+# Deepest accepted nesting.  Hashing, comparing and printing an AST recurse
+# (up to three frames a level), so this stays well under the interpreter's
+# recursion limit.
+MAX_DEPTH = 100
+
+# Bounds of the memo of `parse` (entries keyed by source text) and of the
+# memo of compiled code (entries keyed by AST, holding both paths).
+PARSE_MEMO_SIZE = 1024
+CODE_MEMO_SIZE = 1024
+
 
 # --------------------------------------------------------------------------
 # AST
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     """The free variable t."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neg:
     operand: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinOp:
     op: str  # one of + - * / ^
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call:
     func: str
     arg: "Expr"
@@ -84,17 +102,20 @@ class Call:
 Expr = Union[Const, Var, Neg, BinOp, Call]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FuncSpec:
     """An expression body, optionally carrying a jump at the lower terminal.
 
     With ``jump_at_terminal = c``, evaluation returns ``body(t) + c`` at
     exactly ``t = a`` and ``body(t)`` everywhere else.  Derivative-side
-    evaluation (`evaluate_dual`) always uses the body.
+    evaluation (`evaluate_dual`) always uses the body.  The compiled code
+    of each path is cached on the spec; specs with equal bodies share it.
     """
 
     body: Expr
     jump_at_terminal: float | None = None
+    _float_code: Callable | None = field(default=None, init=False, repr=False, compare=False)
+    _pair_code: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_source(cls, source: str, jump_at_terminal: float | None = None) -> "FuncSpec":
@@ -112,15 +133,23 @@ class FunctionDef:
     dual: Callable[[Dual], Dual]
 
 
+def _ln_domain(x: float):
+    raise DomainError(f"ln of non-positive value {x!r}")
+
+
+def _sqrt_domain(x: float):
+    raise DomainError(f"sqrt of negative value {x!r}")
+
+
 def _real_ln(x: float) -> float:
     if x <= 0.0:
-        raise DomainError(f"ln of non-positive value {x!r}")
+        _ln_domain(x)
     return math.log(x)
 
 
 def _real_sqrt(x: float) -> float:
     if x < 0.0:
-        raise DomainError(f"sqrt of negative value {x!r}")
+        _sqrt_domain(x)
     return math.sqrt(x)
 
 
@@ -144,7 +173,11 @@ def register_function(
     real: Callable[[float], float],
     deriv: Callable[[Dual], Dual],
 ) -> None:
-    """Extend the whitelist with a new unary function."""
+    """Extend the whitelist with a new unary function.
+
+    Registration is permanent, and both callables must be pure: compiled
+    code evaluates a subexpression that occurs twice in a body only once.
+    """
     if not _IDENT_RE.match(name):
         raise ValueError(f"not a valid function name: {name!r}")
     if name in ("t", "pow") or name in FUNCTIONS:
@@ -225,7 +258,7 @@ class _Parser:
         self._i = 0
 
     def parse(self) -> Expr:
-        node = self._expr(0)
+        node, _ = self._expr(0, 1)
         tok = self._peek()
         if tok.kind != "end":
             self._fail(
@@ -247,62 +280,74 @@ class _Parser:
     def _fail(self, tok: _Token, message: str, expected: frozenset[str]):
         raise ParseError(message, _byte_offset(self._source, tok.pos), expected)
 
+    def _too_deep(self, tok: _Token):
+        self._fail(tok, f"expression nests deeper than {MAX_DEPTH} levels", frozenset())
+
     def _expect_op(self, text: str, expected: frozenset[str]) -> None:
         tok = self._advance()
         if tok.kind != "op" or tok.text != text:
             shown = "end of input" if tok.kind == "end" else repr(tok.text)
             self._fail(tok, f"expected {text!r}, found {shown}", expected)
 
-    def _expr(self, min_bp: int) -> Expr:
-        lhs = self._prefix()
+    # Each parsing method takes the nesting level of the node it starts
+    # (the root is level 1) and returns the node with its height, so a
+    # subtree of height h at level L reaches depth L + h - 1.
+
+    def _expr(self, min_bp: int, level: int) -> tuple[Expr, int]:
+        if level > MAX_DEPTH:
+            self._too_deep(self._peek())
+        lhs, height = self._prefix(level)
         while True:
             tok = self._peek()
             if tok.kind != "op" or tok.text not in _INFIX_BP:
-                return lhs
+                return lhs, height
             bp = _INFIX_BP[tok.text]
             if bp <= min_bp:
-                return lhs
+                return lhs, height
             self._advance()
             # '^' is right-associative: allow the same binding power on the right.
-            rhs = self._expr(bp - 1 if tok.text == "^" else bp)
-            lhs = BinOp(tok.text, lhs, rhs)
+            rhs, rhs_height = self._expr(bp - 1 if tok.text == "^" else bp, level + 1)
+            lhs, height = BinOp(tok.text, lhs, rhs), max(height, rhs_height) + 1
+            if level + height - 1 > MAX_DEPTH:
+                self._too_deep(tok)
 
-    def _prefix(self) -> Expr:
+    def _prefix(self, level: int) -> tuple[Expr, int]:
         tok = self._advance()
         if tok.kind == "number":
-            return Const(tok.value)
+            return Const(tok.value), 1
         if tok.kind == "ident":
-            return self._ident(tok)
+            return self._ident(tok, level)
         if tok.kind == "op":
             if tok.text == "-":
-                return Neg(self._expr(_UNARY_BP))
+                operand, height = self._expr(_UNARY_BP, level + 1)
+                return Neg(operand), height + 1
             if tok.text == "(":
-                inner = self._expr(0)
+                inner, height = self._expr(0, level + 1)
                 self._expect_op(
                     ")",
                     frozenset({"')'", "'+'", "'-'", "'*'", "'/'", "'^'"}),
                 )
-                return inner
+                return inner, height + 1
             self._fail(tok, f"unexpected {tok.text!r}", _ATOM_EXPECTED)
         self._fail(tok, "unexpected end of input", _ATOM_EXPECTED)
         raise AssertionError("unreachable")
 
-    def _ident(self, tok: _Token) -> Expr:
+    def _ident(self, tok: _Token, level: int) -> tuple[Expr, int]:
         name = tok.text
         if name == "t":
-            return Var()
+            return Var(), 1
         if name == "pow":
             self._expect_op("(", frozenset({"'('"}))
-            first = self._expr(0)
+            first, first_height = self._expr(0, level + 1)
             self._expect_op(",", frozenset({"','", "'+'", "'-'", "'*'", "'/'", "'^'"}))
-            second = self._expr(0)
+            second, second_height = self._expr(0, level + 1)
             self._expect_op(")", frozenset({"')'", "'+'", "'-'", "'*'", "'/'", "'^'"}))
-            return BinOp("^", first, second)
+            return BinOp("^", first, second), max(first_height, second_height) + 1
         if name in FUNCTIONS:
             self._expect_op("(", frozenset({"'('"}))
-            arg = self._expr(0)
+            arg, height = self._expr(0, level + 1)
             self._expect_op(")", frozenset({"')'", "'+'", "'-'", "'*'", "'/'", "'^'"}))
-            return Call(name, arg)
+            return Call(name, arg), height + 1
         raise UnknownIdentifierError(
             name,
             _byte_offset(self._source, tok.pos),
@@ -310,8 +355,13 @@ class _Parser:
         )
 
 
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
 def parse(source: str) -> Expr:
-    """Parse expression source into an AST; the sole free variable is `t`."""
+    """Parse expression source into an AST; the sole free variable is `t`.
+
+    Results are memoised by source text, so repeated text returns the same
+    AST object; failures are not memoised.
+    """
     return _Parser(source).parse()
 
 
@@ -359,7 +409,7 @@ def unparse(node: Expr) -> str:
 
 
 # --------------------------------------------------------------------------
-# Evaluation
+# Evaluation: compiled straight-line code per (body, path)
 # --------------------------------------------------------------------------
 
 def _pow_float(base: float, expo: float) -> float:
@@ -376,72 +426,197 @@ def _pow_float(base: float, expo: float) -> float:
     raise DomainError("negative base with non-integer exponent")
 
 
-def _eval_float(node: Expr, t: float) -> float:
-    if isinstance(node, BinOp):
-        left = _eval_float(node.left, t)
-        right = _eval_float(node.right, t)
-        op = node.op
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0.0:
-                raise DomainError(f"division by zero at t={t!r}")
-            return left / right
-        return _pow_float(left, right)
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return t
-    if isinstance(node, Neg):
-        return -_eval_float(node.operand, t)
-    if isinstance(node, Call):
-        fd = FUNCTIONS.get(node.func)
-        if fd is None:
-            raise UnknownIdentifierError(node.func, 0, frozenset(FUNCTIONS))
-        return fd.real(_eval_float(node.arg, t))
-    raise TypeError(f"not an expression node: {node!r}")
+def _division_by_zero(t: float):
+    raise DomainError(f"division by zero at t={t!r}")
 
 
-def _eval_dual(node: Expr, t: Dual) -> Dual:
-    if isinstance(node, BinOp):
-        left = _eval_dual(node.left, t)
-        right = _eval_dual(node.right, t)
-        op = node.op
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            return left / right
-        return _d.power(left, right)
-    if isinstance(node, Const):
-        return Dual(node.value, 0.0)
-    if isinstance(node, Var):
-        return t
-    if isinstance(node, Neg):
-        return -_eval_dual(node.operand, t)
-    if isinstance(node, Call):
-        fd = FUNCTIONS.get(node.func)
-        if fd is None:
-            raise UnknownIdentifierError(node.func, 0, frozenset(FUNCTIONS))
-        return fd.dual(_eval_dual(node.arg, t))
-    raise TypeError(f"not an expression node: {node!r}")
+def _dual_division_by_zero():
+    raise DomainError("division by zero")
 
 
-def _body_of(f: FuncSpec | Expr) -> Expr:
-    return f.body if isinstance(f, FuncSpec) else f
+def _abs_kink():
+    raise NonDifferentiableError("abs has no derivative at 0")
+
+
+def _sqrt_kink():
+    raise NonDifferentiableError("sqrt has no finite derivative at 0")
+
+
+def _dual_parts(d: Dual) -> tuple[float, float]:
+    return d.value, d.deriv
+
+
+# Statement templates per operation ("u-" is negation, which no function
+# name can clash with), for the float path and for the (value, derivative)
+# pair path.  {r} and {rd} name the node's value and derivative, {a}/{ad}
+# and {b}/{bd} those of its operands.  The operations
+# and their order are those of `_pow_float`, `Dual` and `dual.py`.
+_FLOAT_RULES: dict[str, tuple[str, ...]] = {
+    "+": ("{r} = {a} + {b}",),
+    "-": ("{r} = {a} - {b}",),
+    "*": ("{r} = {a} * {b}",),
+    "/": ("if {b} == 0.0: _division_by_zero(t)", "{r} = {a} / {b}"),
+    "^": ("{r} = _pow_float({a}, {b})",),
+    "u-": ("{r} = -{a}",),
+    "sin": ("{r} = _sin({a})",),
+    "cos": ("{r} = _cos({a})",),
+    "exp": ("{r} = _exp({a})",),
+    "ln": ("if {a} <= 0.0: _ln_domain({a})", "{r} = _log({a})"),
+    "abs": ("{r} = _abs({a})",),
+    "sqrt": ("if {a} < 0.0: _sqrt_domain({a})", "{r} = _sqrt({a})"),
+}
+_PAIR_RULES: dict[str, tuple[str, ...]] = {
+    "+": ("{r} = {a} + {b}", "{rd} = {ad} + {bd}"),
+    "-": ("{r} = {a} - {b}", "{rd} = {ad} - {bd}"),
+    "*": ("{r} = {a} * {b}", "{rd} = {ad} * {b} + {a} * {bd}"),
+    "/": ("if {b} == 0.0: _dual_division_by_zero()", "{r} = {a} / {b}",
+          "{rd} = ({ad} - {r} * {bd}) / {b}"),
+    "^": ("{r}, {rd} = _pow_pair({a}, {ad}, {b}, {bd})",),
+    "u-": ("{r} = -{a}", "{rd} = -{ad}"),
+    "sin": ("{r} = _sin({a})", "{rd} = _cos({a}) * {ad}"),
+    "cos": ("{r} = _cos({a})", "{rd} = -_sin({a}) * {ad}"),
+    "exp": ("{r} = _exp({a})", "{rd} = {r} * {ad}"),
+    "ln": ("if {a} <= 0.0: _ln_domain({a})", "{r} = _log({a})", "{rd} = {ad} / {a}"),
+    "abs": ("if {a} == 0.0: _abs_kink()", "{r} = _abs({a})",
+            "{rd} = (1.0 if {a} > 0.0 else -1.0) * {ad}"),
+    "sqrt": ("if {a} < 0.0: _sqrt_domain({a})", "if {a} == 0.0: _sqrt_kink()",
+             "{r} = _sqrt({a})", "{rd} = {ad} / (2.0 * {r})"),
+}
+
+# The one globals dict of all generated functions.  Registered functions are
+# bound here as _real<k> and _dual<k>, k numbering their names.
+_GLOBALS: dict = {
+    "__builtins__": {},
+    "_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "_log": math.log,
+    "_sqrt": math.sqrt, "_abs": abs,
+    "_pow_float": _pow_float, "_pow_pair": _d.power_pair,
+    "_Dual": Dual, "_dual_parts": _dual_parts,
+    "_division_by_zero": _division_by_zero,
+    "_dual_division_by_zero": _dual_division_by_zero,
+    "_ln_domain": _ln_domain, "_sqrt_domain": _sqrt_domain,
+    "_abs_kink": _abs_kink, "_sqrt_kink": _sqrt_kink,
+    "_inf": math.inf, "_ninf": -math.inf, "_nan": math.nan,
+}
+_SLOTS: dict[str, int] = {}
+
+
+def _literal(value: float) -> str:
+    """A constant as source: the repr of a finite float or a bound name.
+
+    Converting first keeps anything but a float repr out of the source.
+    """
+    value = float(value)
+    if not math.isfinite(value):
+        return "_nan" if value != value else "_inf" if value > 0.0 else "_ninf"
+    return repr(value)
+
+
+def _deriv_of(operand: str) -> str:
+    """The derivative of an operand: SSA value v<n> pairs with d<n>."""
+    if operand.startswith("v"):
+        return "d" + operand[1:]
+    return "1.0" if operand == "t" else "0.0"
+
+
+def _registered_rule(func: str, pair: bool) -> tuple[str, ...]:
+    fd = FUNCTIONS.get(func)
+    if fd is None:
+        raise UnknownIdentifierError(func, 0, frozenset(FUNCTIONS))
+    k = _SLOTS.setdefault(func, len(_SLOTS))
+    _GLOBALS[f"_real{k}"] = fd.real
+    _GLOBALS[f"_dual{k}"] = fd.dual
+    if pair:
+        return (f"{{r}}, {{rd}} = _dual_parts(_dual{k}(_Dual({{a}}, {{ad}})))",)
+    return (f"{{r}} = _real{k}({{a}})",)
+
+
+def _lower(body: Expr, pair: bool) -> str:
+    """Source of ``_f(t)``: one path of `body` as straight-line SSA code.
+
+    Walks the tree iteratively in post-order, left operand first.  Equal
+    subtrees get one SSA name, as they compute equal values.
+    """
+    rules = _PAIR_RULES if pair else _FLOAT_RULES
+    lines = ["def _f(t):"]
+    numbered: dict[tuple, str] = {}
+    done: list[str] = []  # the operand of each finished node: literal, t or v<n>
+    todo: list[tuple[Expr, bool]] = [(body, False)]
+    while todo:
+        node, ready = todo.pop()
+        if isinstance(node, Const):
+            done.append(_literal(node.value))
+            continue
+        if isinstance(node, Var):
+            done.append("t")
+            continue
+        if isinstance(node, BinOp):
+            op, children = node.op, (node.left, node.right)
+        elif isinstance(node, Neg):
+            op, children = "u-", (node.operand,)
+        elif isinstance(node, Call):
+            op, children = node.func, (node.arg,)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        if not ready:
+            todo.append((node, True))
+            todo.extend((child, False) for child in reversed(children))
+            continue
+        operands = done[-len(children):]
+        del done[-len(children):]
+        key = (op, *operands)
+        name = numbered.get(key)
+        if name is None:
+            name = numbered[key] = f"v{len(numbered) + 1}"
+            a, b = operands if len(operands) == 2 else (operands[0], "")
+            fields = dict(r=name, rd=_deriv_of(name), a=a, ad=_deriv_of(a),
+                          b=b, bd=_deriv_of(b))
+            template = rules[op] if op in rules else _registered_rule(op, pair)
+            lines += ["    " + line.format(**fields) for line in template]
+        done.append(name)
+    (root,) = done
+    lines.append(f"    return {root}, {_deriv_of(root)}" if pair else f"    return {root}")
+    return "\n".join(lines) + "\n"
+
+
+# Compiled code per body, [float path, pair path], oldest entry first.  Keys
+# compare as ASTs do, so a hand-built Const(-0.0) shares the code of Const(0.0);
+# the parser never builds a signed zero.
+_CODE: dict[Expr, list] = {}
+
+
+def _compiled(body: Expr, pair: bool) -> Callable:
+    """One path of `body` as a plain function of t, compiled on first use."""
+    entry = _CODE.get(body)
+    if entry is None:
+        if len(_CODE) >= CODE_MEMO_SIZE:
+            del _CODE[next(iter(_CODE))]
+        entry = _CODE[body] = [None, None]
+    fn = entry[pair]
+    if fn is None:
+        namespace: dict = {}
+        exec(compile(_lower(body, pair), "<expr>", "exec"), _GLOBALS, namespace)
+        fn = entry[pair] = namespace["_f"]
+    return fn
+
+
+def _code(f: FuncSpec | Expr, pair: bool) -> Callable:
+    if not isinstance(f, FuncSpec):
+        return _compiled(f, pair)
+    attr = "_pair_code" if pair else "_float_code"
+    fn = getattr(f, attr)
+    if fn is None:
+        fn = _compiled(f.body, pair)
+        object.__setattr__(f, attr, fn)
+    return fn
 
 
 def evaluate_body(f: FuncSpec | Expr, t: float) -> float:
     """Evaluate the expression body at t, ignoring any jump decoration."""
+    fn = f._float_code if isinstance(f, FuncSpec) else None
+    if fn is None:
+        fn = _code(f, False)
     try:
-        v = _eval_float(_body_of(f), float(t))
+        v = fn(float(t))
     except OverflowError as exc:
         raise NonFiniteError(f"overflow evaluating at t={t!r}") from exc
     if not math.isfinite(v):
@@ -460,11 +635,15 @@ def evaluate(f: FuncSpec | Expr, t: float, a: float) -> float:
 
 
 def evaluate_dual(f: FuncSpec | Expr, t: float) -> Dual:
-    """Evaluate (f(t), f'(t)) via dual numbers; jump decorations are ignored."""
+    """Evaluate (f(t), f'(t)) in forward mode; jump decorations are ignored."""
+    fn = f._pair_code if isinstance(f, FuncSpec) else None
+    if fn is None:
+        fn = _code(f, True)
     try:
-        d = _eval_dual(_body_of(f), Dual.variable(t))
+        value, deriv = fn(float(t))
     except OverflowError as exc:
         raise NonFiniteError(f"overflow evaluating at t={t!r}") from exc
-    if not (math.isfinite(d.value) and math.isfinite(d.deriv)):
+    d = Dual(value, deriv)
+    if not (math.isfinite(value) and math.isfinite(deriv)):
         raise NonFiniteError(f"non-finite dual result {d!r} at t={t!r}")
     return d

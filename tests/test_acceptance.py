@@ -7,6 +7,7 @@ eps anchored at 1e-12, independent of the package's quadrature route).
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,7 @@ from conformable import (
 from conformable.cli import main
 
 F = FuncSpec.from_source
+GOLDEN_REPORT = Path(__file__).parent / "data" / "verify_report.json"
 ORIGINAL = TerminalMode.ORIGINAL
 CORRECTED = TerminalMode.CORRECTED
 
@@ -302,3 +304,11 @@ def test_acceptance_8_determinism(verify_json, tmp_path):
     if path.read_bytes() != first:
         failures.append(("reports differ",))
     _report(8, failures, "two consecutive verify --json runs are byte-identical")
+
+
+def test_verify_report_matches_golden(verify_json):
+    """Refactors keep every number: the report is byte-identical to the
+    committed one."""
+    code, payload = verify_json
+    assert code == 0
+    assert payload == GOLDEN_REPORT.read_bytes()

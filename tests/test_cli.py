@@ -6,6 +6,7 @@ import math
 import pytest
 
 from conformable.cli import main
+from conformable.expr import MAX_DEPTH
 
 
 def run(capsys, *argv):
@@ -66,6 +67,26 @@ def test_deriv_parse_error(capsys):
     code, _, err = run(capsys, "deriv", "--expr", "t +", "--alpha", "0.5", "--a", "0", "--t", "1")
     assert code == 1
     assert "byte offset 3" in err
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["+".join(["t"] * 3000), "(" * 1500 + "t" + ")" * 1500],
+    ids=["3000-term sum", "1500 nested parentheses"],
+)
+def test_deriv_too_deep_is_usage_error(capsys, expr):
+    code, out, err = run(capsys, "deriv", "--expr", expr, "--alpha", "0.5", "--a", "0", "--t", "1")
+    assert code == 1
+    assert out == ""
+    assert f"nests deeper than {MAX_DEPTH} levels" in err
+    assert "Traceback" not in err
+
+
+def test_deriv_at_depth_limit_evaluates(capsys):
+    expr = "+".join(["t"] * MAX_DEPTH)  # a left-leaning sum MAX_DEPTH deep
+    code, out, _ = run(capsys, "deriv", "--expr", expr, "--alpha", "1", "--a", "0", "--t", "2")
+    assert code == 0
+    assert out.startswith(f"value={MAX_DEPTH} err=")
 
 
 def test_deriv_kink_dne(capsys):
@@ -191,6 +212,20 @@ def test_sweep_integ(capsys):
     for row in rows:
         t = float(row["param"])
         assert float(row["value"]) == pytest.approx(2.0 * math.sqrt(t), rel=1e-9)
+
+
+def test_sweep_alpha_endpoints_are_pinned(capsys):
+    # start + (stop - start) * 13 / 13 rounds to 1.0000000000000002 here.
+    code, out, err = run(
+        capsys, "sweep", "--var", "alpha", "--start", "0.1", "--stop", "1.0",
+        "--steps", "14", "--expr", "(t-1)^0.4", "--a", "1", "--t", "1",
+        "--mode", "original",
+    )
+    assert code == 0, err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 14
+    assert float(rows[0]["param"]) == 0.1
+    assert float(rows[-1]["param"]) == 1.0
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,16 @@
+import io
+import keyword
 import math
+import re
+import struct
+import tokenize
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from conformable import expr
+from conformable import dual as _d
+from conformable.dual import Dual
 from conformable.errors import (
     DomainError,
     NonDifferentiableError,
@@ -11,6 +19,7 @@ from conformable.errors import (
     UnknownIdentifierError,
 )
 from conformable.expr import (
+    MAX_DEPTH,
     BinOp,
     Call,
     Const,
@@ -21,6 +30,7 @@ from conformable.expr import (
     evaluate_body,
     evaluate_dual,
     parse,
+    register_function,
     unparse,
 )
 
@@ -101,6 +111,38 @@ def test_parse_unexpected_character():
     with pytest.raises(ParseError) as exc:
         parse("t % 2")
     assert exc.value.offset == 2
+
+
+def test_parse_at_depth_limit():
+    for source in (
+        "+".join(["t"] * MAX_DEPTH),
+        "(" * (MAX_DEPTH - 1) + "t" + ")" * (MAX_DEPTH - 1),
+        "sin(" * (MAX_DEPTH - 1) + "t" + ")" * (MAX_DEPTH - 1),
+        "t^" * (MAX_DEPTH - 1) + "t",
+    ):
+        node = parse(source)
+        # The deepest accepted tree hashes, compares and prints without
+        # reaching the recursion limit.
+        assert hash(node) == hash(parse(unparse(node)))
+        assert node == parse(unparse(node))
+        assert repr(node).startswith(type(node).__name__)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "+".join(["t"] * (MAX_DEPTH + 1)),
+        "(" * MAX_DEPTH + "t" + ")" * MAX_DEPTH,
+        "-" * MAX_DEPTH + "t",
+        "(" * 1500 + "t" + ")" * 1500,
+        "+".join(["t"] * 3000),
+        "(" * 50 + "+".join(["t"] * 60) + ")" * 50,
+    ],
+    ids=["sum", "parentheses", "negations", "1500 parentheses", "3000 terms", "mixed"],
+)
+def test_parse_rejects_deeper_than_limit(source):
+    with pytest.raises(ParseError, match=f"nests deeper than {MAX_DEPTH} levels"):
+        parse(source)
 
 
 # --------------------------------------------------------------------------
@@ -242,3 +284,274 @@ def test_dual_matches_central_difference(source, t):
     h = 1e-6
     fd = (evaluate_body(f, t + h) - evaluate_body(f, t - h)) / (2.0 * h)
     assert abs(d.deriv - fd) <= 1e-5 * max(1.0, abs(d.deriv))
+
+
+def test_tree_at_depth_limit_evaluates_on_both_paths():
+    f = FuncSpec.from_source("sin(" * (MAX_DEPTH - 1) + "t" + ")" * (MAX_DEPTH - 1))
+    x = 0.5
+    dx = 1.0
+    for _ in range(MAX_DEPTH - 1):
+        x, dx = math.sin(x), math.cos(x) * dx
+    assert evaluate_body(f, 0.5) == x
+    d = evaluate_dual(f, 0.5)
+    assert (d.value, d.deriv) == (x, dx)
+
+
+# --------------------------------------------------------------------------
+# compiled code against the reference tree walkers
+# --------------------------------------------------------------------------
+
+# The recursive walkers that evaluated expressions before they were lowered
+# to straight-line code; kept here as the reference the compiled code must
+# match bit for bit.
+
+def _walk_float(node, t):
+    if isinstance(node, BinOp):
+        left = _walk_float(node.left, t)
+        right = _walk_float(node.right, t)
+        op = node.op
+        if op == "+":
+            return left + right
+        if op == "-":
+            return left - right
+        if op == "*":
+            return left * right
+        if op == "/":
+            if right == 0.0:
+                raise DomainError(f"division by zero at t={t!r}")
+            return left / right
+        return expr._pow_float(left, right)
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return t
+    if isinstance(node, Neg):
+        return -_walk_float(node.operand, t)
+    if isinstance(node, Call):
+        return expr.FUNCTIONS[node.func].real(_walk_float(node.arg, t))
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _walk_dual(node, t):
+    if isinstance(node, BinOp):
+        left = _walk_dual(node.left, t)
+        right = _walk_dual(node.right, t)
+        op = node.op
+        if op == "+":
+            return left + right
+        if op == "-":
+            return left - right
+        if op == "*":
+            return left * right
+        if op == "/":
+            return left / right
+        return _d.power(left, right)
+    if isinstance(node, Const):
+        return Dual(node.value, 0.0)
+    if isinstance(node, Var):
+        return t
+    if isinstance(node, Neg):
+        return -_walk_dual(node.operand, t)
+    if isinstance(node, Call):
+        return expr.FUNCTIONS[node.func].dual(_walk_dual(node.arg, t))
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _reference_body(node, t):
+    try:
+        v = _walk_float(node, float(t))
+    except OverflowError as exc:
+        raise NonFiniteError(f"overflow evaluating at t={t!r}") from exc
+    if not math.isfinite(v):
+        raise NonFiniteError(f"non-finite result {v!r} at t={t!r}")
+    return v
+
+
+def _reference_dual(node, t):
+    try:
+        d = _walk_dual(node, Dual.variable(t))
+    except OverflowError as exc:
+        raise NonFiniteError(f"overflow evaluating at t={t!r}") from exc
+    if not (math.isfinite(d.value) and math.isfinite(d.deriv)):
+        raise NonFiniteError(f"non-finite dual result {d!r} at t={t!r}")
+    return d
+
+
+def _outcome(fn, *args):
+    """Bits of the result, or the type and message of the exception."""
+    try:
+        out = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - any exception must match
+        return type(exc), str(exc)
+    values = (out.value, out.deriv) if isinstance(out, Dual) else (out,)
+    return "ok", struct.pack(f"<{len(values)}d", *values)
+
+
+def _assert_matches_reference(node, t):
+    assert _outcome(evaluate_body, node, t) == _outcome(_reference_body, node, t)
+    assert _outcome(evaluate_dual, node, t) == _outcome(_reference_dual, node, t)
+
+
+_CONSTANTS = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 1e-3, 1e300, math.inf]),
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
+)
+_POINTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.5, 0.5, 3.0]),
+    st.floats(min_value=-20.0, max_value=20.0, allow_nan=False),
+)
+
+
+def _random_trees():
+    leaves = st.one_of(st.just(Var()), st.builds(Const, _CONSTANTS))
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Neg, children),
+            st.builds(BinOp, st.sampled_from("+-*/^"), children, children),
+            st.builds(
+                Call,
+                st.sampled_from(["sin", "cos", "exp", "ln", "abs", "sqrt"]),
+                children,
+            ),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+@settings(max_examples=400)
+@given(_random_trees(), _POINTS)
+def test_compiled_matches_reference_walkers(node, t):
+    _assert_matches_reference(node, t)
+
+
+@pytest.mark.parametrize(
+    "source, t, float_outcome, pair_outcome",
+    [
+        ("1/t", 0.0, DomainError, DomainError),
+        ("t/(t-t)", 1.0, DomainError, DomainError),
+        ("t^2", -3.0, "ok", "ok"),  # negative base, integer exponent
+        ("t^3", -2.0, "ok", "ok"),
+        ("t^-1", -2.0, "ok", "ok"),
+        ("t^0.5", -1.0, DomainError, DomainError),  # non-integer exponent
+        ("t^0", 0.0, "ok", "ok"),  # 0^e, e = 0
+        ("t^1", 0.0, "ok", "ok"),  # e = 1
+        ("t^2.5", 0.0, "ok", "ok"),  # e > 1
+        ("t^0.5", 0.0, "ok", NonDifferentiableError),  # 0 < e < 1
+        ("t^-1", 0.0, DomainError, DomainError),  # e < 0
+        ("t^t", 0.0, "ok", DomainError),  # variable exponent
+        ("t^t", -1.0, "ok", DomainError),
+        ("t^(t-t)", 0.0, "ok", "ok"),  # exponent with zero derivative
+        ("ln(t)", 0.0, DomainError, DomainError),
+        ("ln(t)", -1.0, DomainError, DomainError),
+        ("sqrt(t)", 0.0, "ok", NonDifferentiableError),
+        ("sqrt(t)", -1.0, DomainError, DomainError),
+        ("abs(t)", 0.0, "ok", NonDifferentiableError),
+        ("abs(t)", -2.0, "ok", "ok"),
+        ("exp(t)*exp(t)", 0.7, "ok", "ok"),  # a repeated subtree
+        ("sin(t^2)/sin(t^2) + ln(sin(t^2))", 1.3, "ok", "ok"),
+        ("exp(t^2)", 100.0, NonFiniteError, NonFiniteError),  # overflow
+        ("1e999*t", 1.0, NonFiniteError, NonFiniteError),  # infinite constant
+        ("sin(1e999)", 1.0, ValueError, ValueError),
+        ("-2*-t - -(t)", 1.5, "ok", "ok"),
+    ],
+)
+def test_compiled_matches_reference_at_edges(source, t, float_outcome, pair_outcome):
+    node = parse(source)
+    _assert_matches_reference(node, t)
+    for fn, expected in ((evaluate_body, float_outcome), (evaluate_dual, pair_outcome)):
+        assert _outcome(fn, node, t)[0] == expected
+
+
+@pytest.mark.parametrize(
+    "source, value, deriv",
+    [("t^0", 1.0, 0.0), ("t^1", 0.0, 1.0), ("t^2.5", 0.0, 0.0), ("t^2", 0.0, 0.0)],
+)
+def test_zero_base_power_values(source, value, deriv):
+    assert evaluate_dual(parse(source), 0.0) == Dual(value, deriv)
+
+
+def test_negative_constants_in_hand_built_trees():
+    node = BinOp("-", Neg(Const(-1.5)), BinOp("^", Var(), Const(-2.0)))
+    for t in (2.0, -0.0, -3.0):
+        _assert_matches_reference(node, t)
+
+
+def test_generated_source_holds_only_fixed_names_and_floats(registry):
+    register_function("cube", _cube, _cube)
+    node = parse("cube(sin(t))/1e999 + ln(t)^2.5 - 0.1")
+    for pair in (False, True):
+        source = expr._lower(node, pair)
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            assert tok.type != tokenize.STRING
+            if tok.type == tokenize.NAME:
+                assert (
+                    tok.string in expr._GLOBALS
+                    or tok.string in ("t", "_f")
+                    or re.fullmatch(r"[vd][0-9]+", tok.string)
+                    or keyword.iskeyword(tok.string)
+                ), tok.string
+            elif tok.type == tokenize.NUMBER:
+                assert repr(float(tok.string)) == tok.string
+
+
+# --------------------------------------------------------------------------
+# memos and registered functions
+# --------------------------------------------------------------------------
+
+@pytest.fixture
+def registry(monkeypatch):
+    """A scratch copy of the function registry; the memos, which may hold
+    names registered in it, are emptied afterwards."""
+    monkeypatch.setattr(expr, "FUNCTIONS", dict(expr.FUNCTIONS))
+    yield
+    parse.cache_clear()
+    expr._CODE.clear()
+
+
+def _cube(x):
+    return x * x * x
+
+
+def test_parse_memo_returns_the_same_ast():
+    assert parse("t^2 + sin(t)") is parse("t^2 + sin(t)")
+
+
+def test_failed_parse_is_not_memoised(registry):
+    with pytest.raises(UnknownIdentifierError):
+        parse("cube(t) + 1")
+    register_function("cube", _cube, _cube)
+    assert parse("cube(t) + 1") == BinOp("+", Call("cube", Var()), Const(1.0))
+
+
+def test_registered_function_after_memos_are_populated(registry):
+    for source in ("t^2 + 1", "sin(t)*t", "t^2 + 1"):
+        f = FuncSpec.from_source(source)
+        evaluate_body(f, 2.0)
+        evaluate_dual(f, 2.0)
+    register_function("cube", _cube, _cube)
+    f = FuncSpec.from_source("cube(t^2 + 1) - sin(t)*t")
+    assert evaluate_body(f, 2.0) == _reference_body(f.body, 2.0)
+    d = evaluate_dual(f, 2.0)
+    assert d == _reference_dual(f.body, 2.0)
+    assert (d.value, d.deriv) == (125.0 - math.sin(2.0) * 2.0,
+                                  300.0 - (math.cos(2.0) * 2.0 + math.sin(2.0)))
+
+
+def test_equal_bodies_share_compiled_code():
+    plain = FuncSpec.from_source("t^2 + 1")
+    jumped = FuncSpec(parse("t^2+1"), jump_at_terminal=3.0)
+    assert plain.body is not jumped.body
+    assert evaluate(plain, 1.0, 1.0) == 2.0
+    assert evaluate(jumped, 1.0, 1.0) == 5.0
+    assert evaluate(jumped, 2.0, 1.0) == 5.0
+    assert evaluate_dual(plain, 1.0) == evaluate_dual(jumped, 1.0) == Dual(2.0, 2.0)
+    assert plain._float_code is jumped._float_code
+    assert plain._pair_code is jumped._pair_code
+
+
+def test_registered_name_does_not_clash_with_negation(registry):
+    register_function("neg", _cube, _cube)
+    node = parse("neg(t) - -t + neg(-t)")
+    for t in (2.0, -1.5):
+        _assert_matches_reference(node, t)
