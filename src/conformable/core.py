@@ -52,9 +52,7 @@ class Order:
     alpha: float
 
     def __post_init__(self):
-        if not (isinstance(self.alpha, (int, float)) and 0.0 < self.alpha <= 1.0):
-            raise ValueError("alpha must lie in (0,1]")
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", _checked_order(self.alpha))
 
 
 @dataclass(frozen=True)
@@ -64,9 +62,7 @@ class Terminal:
     a: float
 
     def __post_init__(self):
-        if not (isinstance(self.a, (int, float)) and math.isfinite(self.a)):
-            raise ValueError("lower terminal a must be finite")
-        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "a", _checked_terminal(self.a))
 
 
 class TerminalMode(Enum):
@@ -81,7 +77,9 @@ class LimitSchedule:
     ``theta0 = None`` selects the automatic initial step
     ``min(1e-2 * max(1, t-a), 0.5 * (t-a)^alpha)``; the second bound keeps
     every probe point strictly inside (a, inf), where the function may be
-    undefined otherwise.  An explicit ``theta0`` is used as given.
+    undefined otherwise.  When the smallest automatic step would fall below
+    the rounding floor ``sqrt(eps) * max(1, |t|)``, the second bound alone is
+    used.  An explicit ``theta0`` is used as given.
     """
 
     theta0: float | None = None
@@ -136,16 +134,30 @@ class EvalResult:
         return cls(reason=reason)
 
 
+def _checked_order(alpha: float) -> float:
+    """The one rule for an order: a number in (0, 1], returned as a float."""
+    if not (isinstance(alpha, (int, float)) and 0.0 < alpha <= 1.0):
+        raise ValueError("alpha must lie in (0,1]")
+    return float(alpha)
+
+
+def _checked_terminal(a: float) -> float:
+    """The one rule for a lower terminal: a finite number, returned as a float."""
+    if not (isinstance(a, (int, float)) and math.isfinite(a)):
+        raise ValueError("lower terminal a must be finite")
+    return float(a)
+
+
 def _order_value(alpha: Order | float) -> float:
     if isinstance(alpha, Order):
         return alpha.alpha
-    return Order(alpha).alpha
+    return _checked_order(alpha)
 
 
 def _terminal_value(a: Terminal | float) -> float:
     if isinstance(a, Terminal):
         return a.a
-    return Terminal(a).a
+    return _checked_terminal(a)
 
 
 def _power(base: float, expo: float) -> float:
@@ -170,7 +182,8 @@ def _neville_best(samples: Sequence[float], factors: Sequence[float]) -> tuple[f
 
     ``samples[k]`` is an approximation at step ``h0 * r^-k``;
     ``factors[j]`` is ``r**p_j`` for the error order eliminated by column j.
-    Returns the tableau entry with the smallest local error estimate.
+    Returns the tableau entry with the smallest local error estimate: the
+    larger of its distances to the two entries it was built from.
     """
     col = list(samples)
     best = col[-1]
@@ -178,13 +191,21 @@ def _neville_best(samples: Sequence[float], factors: Sequence[float]) -> tuple[f
     for fac in factors:
         if len(col) < 2:
             break
+        den = fac - 1.0
+        lo = col[0]
         nxt = []
-        for lo, hi in zip(col, col[1:]):
-            val = hi + (hi - lo) / (fac - 1.0)
-            err = max(abs(val - hi), abs(val - lo))
-            if err < best_err:
-                best, best_err = val, err
+        for hi in col[1:]:
+            val = hi + (hi - lo) / den
             nxt.append(val)
+            err = abs(val - hi)
+            # The second distance can only matter once the first beats best_err.
+            if err < best_err:
+                far = abs(val - lo)
+                if far > err:
+                    err = far
+                if err < best_err:
+                    best, best_err = val, err
+            lo = hi
         col = nxt
     return best, best_err
 
@@ -276,14 +297,19 @@ def deriv_closed_form(
     """(t-a)^(1-alpha) * f'(t) with f' from dual numbers; interior t only."""
     al = _order_value(alpha)
     av = _terminal_value(a)
+    try:
+        value = _closed_value(f, al, av, t)
+    except NonDifferentiableError as exc:
+        return EvalResult.does_not_exist(f"no first derivative at t={t!r}: {exc}")
+    return EvalResult.of(value, 0.0)
+
+
+def _closed_value(f: FuncSpec, al: float, av: float, t: float) -> float:
+    """Closed-form value for a checked order and terminal; may raise NonDifferentiableError."""
     if not t > av:
         raise PreconditionError("t must lie strictly above the lower terminal a")
     weight = _power(t - av, 1.0 - al)
-    try:
-        d = evaluate_dual(f, t)
-    except NonDifferentiableError as exc:
-        return EvalResult.does_not_exist(f"no first derivative at t={t!r}: {exc}")
-    return EvalResult.of(weight * d.deriv, 0.0)
+    return weight * evaluate_dual(f, t).deriv
 
 
 def deriv_limit(
@@ -306,11 +332,14 @@ def deriv_limit(
     if not d > 0.0:
         raise PreconditionError("t must lie strictly above the lower terminal a")
     weight = _power(d, 1.0 - al)
+    floor = math.sqrt(_EPS) * max(1.0, abs(t))
     theta0 = sched.theta0
     if theta0 is None:
         theta0 = min(1e-2 * max(1.0, d), 0.5 * d / weight)
-    smallest = theta0 * sched.shrink**sched.levels
-    if not smallest > math.sqrt(_EPS) * max(1.0, abs(t)):
+        if not theta0 * sched.shrink**sched.levels > floor:
+            # The largest step that keeps every probe above a.
+            theta0 = 0.5 * d / weight
+    if not theta0 * sched.shrink**sched.levels > floor:
         raise PreconditionError(
             "limit schedule underflows into rounding noise at this point"
         )
@@ -366,12 +395,14 @@ def deriv_at_terminal(
     if mode is TerminalMode.ORIGINAL:
         mesh: list[float] = []
         for h in offsets:
-            r = deriv_closed_form(f, al, av, av + h)
-            if not r.exists:
+            t = av + h
+            try:
+                mesh.append(_closed_value(f, al, av, t))
+            except NonDifferentiableError as exc:
                 return EvalResult.does_not_exist(
-                    f"not differentiable arbitrarily close to the terminal: {r.reason}"
+                    "not differentiable arbitrarily close to the terminal: "
+                    f"no first derivative at t={t!r}: {exc}"
                 )
-            mesh.append(r.value)
         val, err, why = _limit_of_power_sequence(
             mesh, ratio, sched.cauchy_tol, sched.divergence_cap
         )

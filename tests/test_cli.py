@@ -1,12 +1,15 @@
+import contextlib
 import csv
 import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conformable.cli import main
 from conformable.expr import MAX_DEPTH
+from conformable.verify import REGISTRY, RegistryEntry
 
 
 def run(capsys, *argv):
@@ -106,6 +109,43 @@ def test_deriv_jump_flag(capsys):
 def test_usage_error_exits_one(capsys):
     code, _, err = run(capsys, "deriv", "--expr", "t", "--alpha", "0.5", "--a", "0")
     assert code == 1
+
+
+def test_deriv_limit_far_from_zero(capsys):
+    # The automatic step underflows at t = 200; the largest safe step does not.
+    code, out, err = run(
+        capsys, "deriv", "--expr", "t^2", "--alpha", "0.5", "--a", "199",
+        "--t", "200", "--method", "limit",
+    )
+    assert code == 0, err
+    assert out.startswith("value=400 ")
+
+
+_FUZZ_POINTS = ["0", "1", "-2", "199", "200", "1e17", "-1e17", "1e300", "nan", "inf"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    entry=st.sampled_from(
+        REGISTRY + (RegistryEntry("cos_exp", "cos(exp(t))"), RegistryEntry("mixed", "t*sin(t)+exp(t)"))
+    ),
+    alpha=st.sampled_from(["1e-300", "0.1", "0.5", "0.9", "1", "0", "nan"]),
+    a=st.sampled_from(_FUZZ_POINTS),
+    t=st.sampled_from(_FUZZ_POINTS),
+    method=st.sampled_from(["limit", "closed"]),
+    mode=st.sampled_from(["original", "corrected"]),
+)
+def test_deriv_exit_code_is_total(entry, alpha, a, t, method, mode):
+    # "--a=-1e17" form: argparse would read a bare "-1e17" as an option.
+    argv = ["deriv", "--expr", entry.source(float(a)), f"--alpha={alpha}",
+            f"--a={a}", f"--t={t}", "--method", method, "--mode", mode]
+    if entry.jump is not None:
+        argv.append(f"--jump={entry.jump}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue()
 
 
 # --------------------------------------------------------------------------

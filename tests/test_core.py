@@ -1,7 +1,8 @@
 import math
+import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conformable import (
     DEFAULT_SCHEDULE,
@@ -17,6 +18,7 @@ from conformable import (
     evaluate_dual,
     order_convert,
 )
+from conformable import core
 from conformable.errors import DomainError, PreconditionError
 
 F = FuncSpec.from_source
@@ -150,6 +152,28 @@ def test_limit_rejects_underflowing_schedule():
         deriv_limit(F("t"), 0.5, 0.0, 4.0, sched)
 
 
+def test_limit_far_from_zero_falls_back_to_largest_step():
+    # At t = 200 the automatic step 1e-2 * 0.5^12 is below sqrt(eps) * 200;
+    # the route retries with theta0 = 0.5 * (t - a) / weight.
+    f = F("t^2")
+    r = deriv_limit(f, 0.5, 199.0, 200.0)
+    assert r.exists
+    assert r.value == pytest.approx(deriv_closed_form(f, 0.5, 199.0, 200.0).value, abs=1e-6)
+    for source in ("sin(t)", "exp(t/1000)", "t^3"):
+        g = F(source)
+        for a, t in ((199.0, 200.0), (-300.0, -299.5), (1e4, 1e4 + 3.0)):
+            lm = deriv_limit(g, 0.7, a, t)
+            cf = deriv_closed_form(g, 0.7, a, t)
+            assert lm.exists, (source, a, t, lm.reason)
+            assert abs(lm.value - cf.value) <= 1e-6 * max(1.0, abs(cf.value)), (source, a, t)
+
+
+def test_limit_fallback_step_can_still_underflow():
+    # Even the largest step 0.5 * (t - a) cannot clear the rounding floor here.
+    with pytest.raises(PreconditionError, match="underflows"):
+        deriv_limit(F("t"), 1.0, 1e6, 1e6 + 1e-3)
+
+
 def test_limit_accepts_callable():
     r = deriv_limit(lambda x: x * x, 1.0, 0.0, 3.0)
     assert r.value == pytest.approx(6.0, abs=1e-8)
@@ -197,8 +221,144 @@ def test_linearity_of_both_routes():
 
 
 # --------------------------------------------------------------------------
+# extrapolation tableau
+# --------------------------------------------------------------------------
+
+def _reference_neville_best(samples, factors):
+    """The tableau as first written, kept as the reference for the lean loop."""
+    col = list(samples)
+    best = col[-1]
+    best_err = abs(col[-1] - col[-2]) if len(col) > 1 else math.inf
+    for fac in factors:
+        if len(col) < 2:
+            break
+        nxt = []
+        for lo, hi in zip(col, col[1:]):
+            val = hi + (hi - lo) / (fac - 1.0)
+            err = max(abs(val - hi), abs(val - lo))
+            if err < best_err:
+                best, best_err = val, err
+            nxt.append(val)
+        col = nxt
+    return best, best_err
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", tuple(struct.pack("<d", x) for x in fn(*args))
+    except Exception as exc:  # compared by type and message
+        return "raised", type(exc), str(exc)
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308]
+_SAMPLE = st.one_of(
+    st.sampled_from(_SPECIAL),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=5.9, max_value=6.1),
+)
+
+
+@st.composite
+def _factors(draw):
+    # The limit route uses base r or r^2; the terminal route uses base 1/rho.
+    ratio = draw(st.sampled_from([1.5, 2.0, 3.0, 4.0, 1.0 / 0.7]))
+    rho = st.floats(-0.999, 0.995).filter(lambda x: abs(x) >= 1e-3)
+    base = draw(st.sampled_from([ratio, ratio * ratio]) | rho.map(lambda x: 1.0 / x))
+    factors = [base * ratio**j for j in range(draw(st.integers(0, 12)))]
+    if factors and draw(st.booleans()):
+        factors[draw(st.integers(0, len(factors) - 1))] = 1.0
+    return factors
+
+
+@settings(max_examples=600)
+@given(st.lists(_SAMPLE, min_size=1, max_size=12), _factors())
+def test_neville_best_matches_reference_bit_for_bit(samples, factors):
+    assert _outcome(core._neville_best, samples, factors) == _outcome(
+        _reference_neville_best, samples, factors
+    )
+
+
+@pytest.mark.parametrize("samples", [[1.0, 2.0, 2.5], [math.nan, 1.0, 2.0], [math.inf, -math.inf, 0.0]])
+def test_neville_best_unit_factor_raises_like_reference(samples):
+    for fn in (core._neville_best, _reference_neville_best):
+        with pytest.raises(ZeroDivisionError):
+            fn(samples, [1.0])
+        with pytest.raises(ZeroDivisionError):
+            fn(samples, [2.0, 1.0])
+
+
+def test_neville_best_ties_and_nan_keep_reference_choice():
+    cases = [
+        ([1.0, 1.0, 1.0], [2.0, 4.0]),
+        ([0.0, -0.0, 0.0, -0.0], [2.0, 4.0, 8.0]),
+        ([math.nan, 1.0, 1.5, 1.75], [2.0, 4.0, 8.0]),
+        ([1.0, 1.5, math.nan, 1.75], [2.0, 4.0, 8.0]),
+        ([1e308, -1e308, 1e308], [1.5, 2.25]),
+        ([5.0], [2.0, 4.0]),
+    ]
+    for samples, factors in cases:
+        assert _outcome(core._neville_best, samples, factors) == _outcome(
+            _reference_neville_best, samples, factors
+        )
+
+
+# --------------------------------------------------------------------------
+# argument checks
+# --------------------------------------------------------------------------
+
+_ARGUMENT = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1.0, 0.0, -0.0, 5e-324, 10**400]),
+    st.text(max_size=3),
+    st.none(),
+)
+
+
+def _checked(fn, x):
+    try:
+        v = fn(x)
+    except Exception as exc:  # compared by type and message
+        return "raised", type(exc), str(exc)
+    return "ok", type(v), struct.pack("<d", v)
+
+
+@settings(max_examples=400)
+@given(_ARGUMENT)
+def test_fast_checks_agree_with_public_classes(x):
+    assert _checked(lambda v: Order(v).alpha, x) == _checked(core._order_value, x)
+    assert _checked(lambda v: Terminal(v).a, x) == _checked(core._terminal_value, x)
+
+
+def test_fast_checks_pass_instances_through():
+    assert core._order_value(Order(0.25)) == 0.25
+    assert core._terminal_value(Terminal(-2)) == -2.0
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0,1\]"):
+        core._order_value(math.nan)
+    with pytest.raises(ValueError, match="lower terminal a must be finite"):
+        core._terminal_value("0")
+
+
+# --------------------------------------------------------------------------
 # terminal modes
 # --------------------------------------------------------------------------
+
+def test_terminal_original_reason_names_first_bad_mesh_point():
+    r = deriv_at_terminal(F("abs(t-0.01)"), 0.5, 0.0, ORIGINAL)
+    assert r.reason == (
+        "not differentiable arbitrarily close to the terminal: "
+        "no first derivative at t=0.01: abs has no derivative at 0"
+    )
+
+
+def test_terminal_original_mesh_point_rounding_to_a_is_rejected():
+    # 1e17 + 1e-2 rounds back to 1e17, so the first mesh point is not interior.
+    with pytest.raises(PreconditionError) as info:
+        deriv_at_terminal(F("t"), 0.5, 1e17, ORIGINAL)
+    assert str(info.value) == "t must lie strictly above the lower terminal a"
+
 
 def test_terminal_case_split_original():
     f = F("(t-1)^0.4")
