@@ -14,8 +14,8 @@ from .core import (
     deriv_closed_form,
     deriv_limit,
     order_convert,
+    right_limit,
 )
-from .dual import Dual
 from .errors import (
     ConvergenceError,
     DomainError,

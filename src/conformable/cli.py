@@ -21,13 +21,7 @@ from .core import (
     deriv_closed_form,
     deriv_limit,
 )
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    NonFiniteError,
-    ParseError,
-    PreconditionError,
-)
+from .errors import ConvergenceError, NonFiniteError, PreconditionError
 from .expr import FuncSpec
 from .quad import DEFAULT_QUAD_CONFIG, QuadConfig, integral
 from .verify import run_all
@@ -166,8 +160,7 @@ def _cmd_sweep(args) -> int:
         if args.alpha is None:
             raise _UsageError("t sweep requires a fixed --alpha")
         Order(args.alpha)
-        floor = args.a if args.op == "deriv" else None
-        if floor is not None and args.start < floor:
+        if args.op == "deriv" and args.start < args.a:
             raise _UsageError("t sweep must not start below the lower terminal a")
         if args.op == "integ" and args.start <= args.a:
             raise _UsageError("t sweep for integrals must start above the lower terminal a")
@@ -198,11 +191,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    modes = {
-        "original": (TerminalMode.ORIGINAL,),
-        "corrected": (TerminalMode.CORRECTED,),
-        "both": None,
-    }[args.mode]
+    modes = None if args.mode == "both" else (TerminalMode(args.mode),)
     report = run_all(modes)
     if args.json_path:
         try:
@@ -226,10 +215,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_verify(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, PreconditionError, DomainError, NonFiniteError, ValueError) as exc:
+    except (_UsageError, ValueError, NonFiniteError) as exc:
+        # ValueError covers ParseError, DomainError and PreconditionError.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConvergenceError as exc:

@@ -37,6 +37,7 @@ __all__ = [
     "deriv_closed_form",
     "deriv_limit",
     "order_convert",
+    "right_limit",
 ]
 
 PointFunc = Callable[[float], float]
@@ -103,7 +104,7 @@ class LimitSchedule:
 
 DEFAULT_SCHEDULE = LimitSchedule()
 
-# Mesh offset for terminal evaluation: t_k = a + 1e-2 * shrink^k.
+# Mesh offset for right limits at the terminal: h_k = 1e-2 * shrink^k.
 _TERMINAL_OFFSET = 1e-2
 
 
@@ -148,6 +149,15 @@ def _checked_terminal(a: float) -> float:
     return float(a)
 
 
+def _checked_point(t: float, av: float) -> float:
+    """The one rule for an interior point: a finite number strictly above a."""
+    if not math.isfinite(t):
+        raise PreconditionError(f"t must be finite, got {t!r}")
+    if not t > av:
+        raise PreconditionError("t must lie strictly above the lower terminal a")
+    return float(t)
+
+
 def _order_value(alpha: Order | float) -> float:
     if isinstance(alpha, Order):
         return alpha.alpha
@@ -160,7 +170,16 @@ def _terminal_value(a: Terminal | float) -> float:
     return _checked_terminal(a)
 
 
-def _power(base: float, expo: float) -> float:
+def checked_interior(
+    alpha: Order | float, a: Terminal | float, t: float
+) -> tuple[float, float, float]:
+    """(alpha, a, t) as floats, checked for an operator at an interior point t."""
+    al = _order_value(alpha)
+    av = _terminal_value(a)
+    return al, av, _checked_point(t, av)
+
+
+def positive_power(base: float, expo: float) -> float:
     """exp(expo * ln(base)) with an explicit base > 0 guard."""
     if not base > 0.0:
         raise PreconditionError(f"power base must be positive, got {base!r}")
@@ -264,6 +283,23 @@ def _limit_of_power_sequence(
     return None, 0.0, "extrapolation toward the terminal did not converge"
 
 
+def right_limit(
+    g: PointFunc, sched: LimitSchedule = DEFAULT_SCHEDULE
+) -> tuple[float | None, float, str | None]:
+    """Limit of g(h) as h -> 0+, from g on the mesh h_k = 1e-2 * shrink^k.
+
+    g takes the offset h from the terminal, not the point a + h.  It is
+    called in order of decreasing h, and an exception it raises propagates.
+    Returns ``(limit, err, None)``, or ``(None, 0.0, reason)`` when the
+    samples are detected as non-convergent; the detection is a heuristic,
+    not a proof.
+    """
+    samples = [g(_TERMINAL_OFFSET * sched.shrink**k) for k in range(sched.levels)]
+    return _limit_of_power_sequence(
+        samples, 1.0 / sched.shrink, sched.cauchy_tol, sched.divergence_cap
+    )
+
+
 def _usable_ratios(diffs: Sequence[float], tiny: float) -> list[float]:
     """Difference ratios up to the point where rounding noise takes over.
 
@@ -294,22 +330,26 @@ def deriv_closed_form(
     a: Terminal | float,
     t: float,
 ) -> EvalResult:
-    """(t-a)^(1-alpha) * f'(t) with f' from dual numbers; interior t only."""
+    """(t-a)^(1-alpha) * f'(t) with f' in forward mode; interior t only."""
     al = _order_value(alpha)
     av = _terminal_value(a)
     try:
         value = _closed_value(f, al, av, t)
     except NonDifferentiableError as exc:
-        return EvalResult.does_not_exist(f"no first derivative at t={t!r}: {exc}")
+        return EvalResult.does_not_exist(str(exc))
     return EvalResult.of(value, 0.0)
 
 
 def _closed_value(f: FuncSpec, al: float, av: float, t: float) -> float:
-    """Closed-form value for a checked order and terminal; may raise NonDifferentiableError."""
-    if not t > av:
-        raise PreconditionError("t must lie strictly above the lower terminal a")
-    weight = _power(t - av, 1.0 - al)
-    return weight * evaluate_dual(f, t).deriv
+    """Closed-form value for a checked order and terminal.
+
+    Raises NonDifferentiableError, naming t, where f has no first derivative.
+    """
+    weight = positive_power(_checked_point(t, av) - av, 1.0 - al)
+    try:
+        return weight * evaluate_dual(f, t)[1]
+    except NonDifferentiableError as exc:
+        raise NonDifferentiableError(f"no first derivative at t={t!r}: {exc}") from exc
 
 
 def deriv_limit(
@@ -326,12 +366,9 @@ def deriv_limit(
     when the extrapolants fail the Cauchy test, the one-sided limits
     disagree, or the raw quotients pass the divergence cap.
     """
-    al = _order_value(alpha)
-    av = _terminal_value(a)
+    al, av, t = checked_interior(alpha, a, t)
     d = t - av
-    if not d > 0.0:
-        raise PreconditionError("t must lie strictly above the lower terminal a")
-    weight = _power(d, 1.0 - al)
+    weight = positive_power(d, 1.0 - al)
     floor = math.sqrt(_EPS) * max(1.0, abs(t))
     theta0 = sched.theta0
     if theta0 is None:
@@ -390,32 +427,20 @@ def deriv_at_terminal(
     """
     al = _order_value(alpha)
     av = _terminal_value(a)
-    ratio = 1.0 / sched.shrink
-    offsets = [_TERMINAL_OFFSET * sched.shrink**k for k in range(sched.levels)]
     if mode is TerminalMode.ORIGINAL:
-        mesh: list[float] = []
-        for h in offsets:
-            t = av + h
-            try:
-                mesh.append(_closed_value(f, al, av, t))
-            except NonDifferentiableError as exc:
-                return EvalResult.does_not_exist(
-                    "not differentiable arbitrarily close to the terminal: "
-                    f"no first derivative at t={t!r}: {exc}"
-                )
-        val, err, why = _limit_of_power_sequence(
-            mesh, ratio, sched.cauchy_tol, sched.divergence_cap
-        )
+        try:
+            val, err, why = right_limit(lambda h: _closed_value(f, al, av, av + h), sched)
+        except NonDifferentiableError as exc:
+            return EvalResult.does_not_exist(
+                f"not differentiable arbitrarily close to the terminal: {exc}"
+            )
         if why is not None:
             return EvalResult.does_not_exist(
                 f"interior derivatives have no finite limit at the terminal: {why}"
             )
         return EvalResult.of(val, err)
     f_at_a = evaluate(f, av, av)
-    quotients = [(evaluate(f, av + h, av) - f_at_a) / h for h in offsets]
-    val, err, why = _limit_of_power_sequence(
-        quotients, ratio, sched.cauchy_tol, sched.divergence_cap
-    )
+    val, err, why = right_limit(lambda h: (evaluate(f, av + h, av) - f_at_a) / h, sched)
     if why is not None:
         return EvalResult.does_not_exist(
             f"right first derivative does not exist at the terminal: {why}"
@@ -435,7 +460,5 @@ def order_convert(
     """Convert a derivative of order beta at interior t into one of order alpha."""
     al = _order_value(alpha)
     be = _order_value(beta)
-    av = _terminal_value(a)
-    if not t > av:
-        raise PreconditionError("t must lie strictly above the lower terminal a")
-    return _power(t - av, be - al) * value
+    _, av, t = checked_interior(al, a, t)
+    return positive_power(t - av, be - al) * value

@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Union
 
-from . import dual as _d
-from .dual import Dual
 from .errors import (
     DomainError,
     NonDifferentiableError,
@@ -52,6 +50,7 @@ __all__ = [
     "evaluate_body",
     "evaluate_dual",
     "parse",
+    "power_pair",
     "register_function",
     "unparse",
 ]
@@ -128,9 +127,15 @@ class FuncSpec:
 
 @dataclass(frozen=True)
 class FunctionDef:
+    """A unary function and, for a registered one, its derivative.
+
+    The builtins carry no ``deriv``: their pair rules are inline in
+    `_PAIR_RULES`.
+    """
+
     name: str
     real: Callable[[float], float]
-    dual: Callable[[Dual], Dual]
+    deriv: Callable[[float], float] | None = None
 
 
 def _ln_domain(x: float):
@@ -156,12 +161,12 @@ def _real_sqrt(x: float) -> float:
 FUNCTIONS: dict[str, FunctionDef] = {
     f.name: f
     for f in (
-        FunctionDef("sin", math.sin, _d.sin),
-        FunctionDef("cos", math.cos, _d.cos),
-        FunctionDef("exp", math.exp, _d.exp),
-        FunctionDef("ln", _real_ln, _d.ln),
-        FunctionDef("abs", abs, abs),
-        FunctionDef("sqrt", _real_sqrt, _d.sqrt),
+        FunctionDef("sin", math.sin),
+        FunctionDef("cos", math.cos),
+        FunctionDef("exp", math.exp),
+        FunctionDef("ln", _real_ln),
+        FunctionDef("abs", abs),
+        FunctionDef("sqrt", _real_sqrt),
     )
 }
 
@@ -171,12 +176,14 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 def register_function(
     name: str,
     real: Callable[[float], float],
-    deriv: Callable[[Dual], Dual],
+    deriv: Callable[[float], float],
 ) -> None:
-    """Extend the whitelist with a new unary function.
+    """Extend the whitelist with a new unary function f and its derivative f'.
 
-    Registration is permanent, and both callables must be pure: compiled
-    code evaluates a subexpression that occurs twice in a body only once.
+    Both callables take and return floats; forward mode applies the chain
+    rule, (f(x), f'(x) * x').  Registration is permanent, and both callables
+    must be pure: compiled code evaluates a subexpression that occurs twice
+    in a body only once.
     """
     if not _IDENT_RE.match(name):
         raise ValueError(f"not a valid function name: {name!r}")
@@ -442,15 +449,42 @@ def _sqrt_kink():
     raise NonDifferentiableError("sqrt has no finite derivative at 0")
 
 
-def _dual_parts(d: Dual) -> tuple[float, float]:
-    return d.value, d.deriv
+def power_pair(b: float, db: float, e: float, de: float) -> tuple[float, float]:
+    """b^e with its derivative, from the (value, derivative) pairs of b and e.
+
+    Negative bases need integer exponents; a variable exponent needs b > 0.
+    """
+    if de == 0.0:
+        # Constant exponent: d/dt b^e = e * b^(e-1) * b'.
+        if b > 0.0:
+            return math.pow(b, e), e * math.pow(b, e - 1.0) * db
+        if b == 0.0:
+            if e == 0.0:
+                return 1.0, 0.0
+            if e == 1.0:
+                return 0.0, db
+            if e > 1.0:
+                return 0.0, 0.0
+            if e > 0.0:
+                raise NonDifferentiableError(
+                    f"x^{e!r} has no finite derivative at x = 0"
+                )
+            raise DomainError("zero base with non-positive exponent")
+        if float(e).is_integer():
+            return math.pow(b, e), e * math.pow(b, e - 1.0) * db
+        raise DomainError("negative base with non-integer exponent")
+    # Variable exponent: b^e = exp(e ln b) requires b > 0.
+    if b <= 0.0:
+        raise DomainError("variable exponent requires a positive base")
+    v = math.pow(b, e)
+    return v, v * (de * math.log(b) + e * db / b)
 
 
 # Statement templates per operation ("u-" is negation, which no function
 # name can clash with), for the float path and for the (value, derivative)
 # pair path.  {r} and {rd} name the node's value and derivative, {a}/{ad}
-# and {b}/{bd} those of its operands.  The operations
-# and their order are those of `_pow_float`, `Dual` and `dual.py`.
+# and {b}/{bd} those of its operands.  The operations and their order are
+# those of `_pow_float`, `power_pair` and forward-mode arithmetic on pairs.
 _FLOAT_RULES: dict[str, tuple[str, ...]] = {
     "+": ("{r} = {a} + {b}",),
     "-": ("{r} = {a} - {b}",),
@@ -484,13 +518,12 @@ _PAIR_RULES: dict[str, tuple[str, ...]] = {
 }
 
 # The one globals dict of all generated functions.  Registered functions are
-# bound here as _real<k> and _dual<k>, k numbering their names.
+# bound here as _real<k> and _deriv<k>, k numbering their names.
 _GLOBALS: dict = {
     "__builtins__": {},
     "_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "_log": math.log,
     "_sqrt": math.sqrt, "_abs": abs,
-    "_pow_float": _pow_float, "_pow_pair": _d.power_pair,
-    "_Dual": Dual, "_dual_parts": _dual_parts,
+    "_pow_float": _pow_float, "_pow_pair": power_pair,
     "_division_by_zero": _division_by_zero,
     "_dual_division_by_zero": _dual_division_by_zero,
     "_ln_domain": _ln_domain, "_sqrt_domain": _sqrt_domain,
@@ -524,9 +557,9 @@ def _registered_rule(func: str, pair: bool) -> tuple[str, ...]:
         raise UnknownIdentifierError(func, 0, frozenset(FUNCTIONS))
     k = _SLOTS.setdefault(func, len(_SLOTS))
     _GLOBALS[f"_real{k}"] = fd.real
-    _GLOBALS[f"_dual{k}"] = fd.dual
+    _GLOBALS[f"_deriv{k}"] = fd.deriv
     if pair:
-        return (f"{{r}}, {{rd}} = _dual_parts(_dual{k}(_Dual({{a}}, {{ad}})))",)
+        return (f"{{r}} = _real{k}({{a}})", f"{{rd}} = _deriv{k}({{a}}) * {{ad}}")
     return (f"{{r}} = _real{k}({{a}})",)
 
 
@@ -634,8 +667,8 @@ def evaluate(f: FuncSpec | Expr, t: float, a: float) -> float:
     return v
 
 
-def evaluate_dual(f: FuncSpec | Expr, t: float) -> Dual:
-    """Evaluate (f(t), f'(t)) in forward mode; jump decorations are ignored."""
+def evaluate_dual(f: FuncSpec | Expr, t: float) -> tuple[float, float]:
+    """Evaluate the pair (f(t), f'(t)) in forward mode; jump decorations are ignored."""
     fn = f._pair_code if isinstance(f, FuncSpec) else None
     if fn is None:
         fn = _code(f, True)
@@ -643,7 +676,6 @@ def evaluate_dual(f: FuncSpec | Expr, t: float) -> Dual:
         value, deriv = fn(float(t))
     except OverflowError as exc:
         raise NonFiniteError(f"overflow evaluating at t={t!r}") from exc
-    d = Dual(value, deriv)
     if not (math.isfinite(value) and math.isfinite(deriv)):
-        raise NonFiniteError(f"non-finite dual result {d!r} at t={t!r}")
-    return d
+        raise NonFiniteError(f"non-finite dual result {(value, deriv)!r} at t={t!r}")
+    return value, deriv

@@ -21,16 +21,13 @@ from .core import (
     LimitSchedule,
     Order,
     Terminal,
-    TerminalMode,
-    _limit_of_power_sequence,
-    _order_value,
-    _power,
-    _terminal_value,
-    _TERMINAL_OFFSET,
+    checked_interior,
     deriv_closed_form,
     deriv_limit,
+    positive_power,
+    right_limit,
 )
-from .errors import ConvergenceError, PreconditionError
+from .errors import ConvergenceError, NonDifferentiableError
 from .expr import FuncSpec, evaluate_body
 
 __all__ = [
@@ -154,11 +151,8 @@ def integral(
     The integrand uses the body of f everywhere; a jump decoration affects a
     single point of measure zero and never the integral.
     """
-    al = _order_value(alpha)
-    av = _terminal_value(a)
-    if not t > av:
-        raise PreconditionError("t must lie strictly above the lower terminal a")
-    upper = _power(t - av, al)
+    al, av, t = checked_interior(alpha, a, t)
+    upper = positive_power(t - av, al)
     inv_alpha = 1.0 / al
 
     def fn(u: float) -> float:
@@ -181,10 +175,7 @@ def deriv_of_integral(
 
     For f continuous on [a, t] the result reproduces f(t).
     """
-    al = _order_value(alpha)
-    av = _terminal_value(a)
-    if not t > av:
-        raise PreconditionError("t must lie strictly above the lower terminal a")
+    al, av, t = checked_interior(alpha, a, t)
     # Split the integral at a fixed point below every probe abscissa.  The
     # singular head is computed once and cancels exactly in the difference
     # quotients; only the smooth tail varies with the probe point, and its
@@ -199,7 +190,7 @@ def deriv_of_integral(
     )
 
     def weighted(s: float) -> float:
-        return _power(s - av, al - 1.0) * evaluate_body(f, s)
+        return positive_power(s - av, al - 1.0) * evaluate_body(f, s)
 
     def g(x: float) -> float:
         tail, _ = _adaptive_quad(weighted, head_point, x, inner)
@@ -208,18 +199,11 @@ def deriv_of_integral(
     return deriv_limit(g, al, av, t, sched)
 
 
-class _IntegrandDoesNotExist(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
 def integral_of_deriv(
     f: FuncSpec,
     alpha: Order | float,
     a: Terminal | float,
     t: float,
-    mode: TerminalMode = TerminalMode.CORRECTED,
     cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
 ) -> EvalResult:
     """Integral of s -> deriv_closed_form(f, alpha, a, s) from a to t.
@@ -227,26 +211,15 @@ def integral_of_deriv(
     Equals f(t) minus the right limit of f at a (and hence f(t) - f(a)
     exactly when f is right-continuous there).  Reports DoesNotExist when
     that right limit does not exist or is not finite.  Only interior
-    derivatives enter, so the value is the same under either terminal
-    mode; the mode argument mirrors the derivative API.
+    derivatives enter, so the value is the same under either terminal mode.
     """
-    al = _order_value(alpha)
-    av = _terminal_value(a)
-    del mode
-    if not t > av:
-        raise PreconditionError("t must lie strictly above the lower terminal a")
-    mesh = [
-        evaluate_body(f, av + _TERMINAL_OFFSET * 0.5**k)
-        for k in range(DEFAULT_SCHEDULE.levels)
-    ]
-    _, _, why = _limit_of_power_sequence(
-        mesh, 2.0, DEFAULT_SCHEDULE.cauchy_tol, DEFAULT_SCHEDULE.divergence_cap
-    )
+    al, av, t = checked_interior(alpha, a, t)
+    _, _, why = right_limit(lambda h: evaluate_body(f, av + h))
     if why is not None:
         return EvalResult.does_not_exist(
             f"right limit of f at the lower terminal does not exist or is not finite: {why}"
         )
-    upper = _power(t - av, al)
+    upper = positive_power(t - av, al)
     inv_alpha = 1.0 / al
 
     def fn(u: float) -> float:
@@ -255,13 +228,13 @@ def integral_of_deriv(
             return 0.0
         r = deriv_closed_form(f, al, av, s)
         if not r.exists:
-            raise _IntegrandDoesNotExist(r.reason)
+            raise NonDifferentiableError(r.reason)
         return inv_alpha * r.value
 
     try:
         value, bound = _adaptive_quad(fn, 0.0, upper, cfg)
-    except _IntegrandDoesNotExist as exc:
+    except NonDifferentiableError as exc:
         return EvalResult.does_not_exist(
-            f"integrand derivative does not exist inside the range: {exc.reason}"
+            f"integrand derivative does not exist inside the range: {exc}"
         )
     return EvalResult.of(value, bound)

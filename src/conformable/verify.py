@@ -13,20 +13,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 from .core import (
     DEFAULT_SCHEDULE,
     EvalResult,
     LimitSchedule,
     TerminalMode,
-    _limit_of_power_sequence,
     deriv_at_terminal,
     deriv_closed_form,
     deriv_limit,
     order_convert,
+    right_limit,
 )
 from .expr import BinOp, Const, FuncSpec, evaluate, evaluate_body, parse
 from .quad import DEFAULT_QUAD_CONFIG, QuadConfig, deriv_of_integral, integral_of_deriv
@@ -107,13 +106,6 @@ def registry_for(a: float) -> dict[str, FuncSpec]:
     return {e.key: e.make(a) for e in REGISTRY}
 
 
-def _entry(key: str) -> RegistryEntry:
-    for e in REGISTRY:
-        if e.key == key:
-            return e
-    raise KeyError(key)
-
-
 # --------------------------------------------------------------------------
 # Configuration and report types
 # --------------------------------------------------------------------------
@@ -154,15 +146,7 @@ class Witness:
     tolerance: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "function": self.function,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "t": self.t,
-            "measured": self.measured,
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -176,18 +160,12 @@ class CheckOutcome:
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        out = {
-            "check_id": self.check_id,
-            "mode": self.mode.value,
-            "status": self.status,
-            "witnesses": [w.to_dict() for w in self.witnesses],
-        }
-        if self.worst_residual is not None:
-            out["worst_residual"] = self.worst_residual
-        if self.reason is not None:
-            out["reason"] = self.reason
-        if self.notes:
-            out["notes"] = list(self.notes)
+        out = asdict(self)
+        out["mode"] = self.mode.value
+        # The optional fields appear only when set.
+        for key in ("worst_residual", "reason", "notes"):
+            if out[key] is None or out[key] == ():
+                del out[key]
         return out
 
 
@@ -225,6 +203,12 @@ class _Collector:
                 Witness(function, alpha, beta, t, measured, expected, None)
             )
 
+    def result(self, function, alpha, beta, t, r: EvalResult, shown, expected, tol) -> None:
+        """Require r to exist (shown as the expectation), then compare its value."""
+        self.require(function, alpha, beta, t, r.exists, _shown(r), shown)
+        if r.exists:
+            self.value(function, alpha, beta, t, r.value, expected, tol)
+
     def outcome(self, notes: tuple[str, ...] = ()) -> CheckOutcome:
         if self.failures:
             return CheckOutcome(
@@ -253,20 +237,43 @@ def _scale_tol(rtol: float, reference: float) -> float:
 # Identity checks
 # --------------------------------------------------------------------------
 
-_LINEAR_PAIRS = (("square", "sine", 2.0, -3.0), ("exponential", "cosine", 1.0, 4.0))
-_PRODUCT_PAIRS = (("square", "sine"), ("exponential", "cosine"))
-_QUOTIENT_PAIRS = (("sine", "exponential"), ("square", "exponential"))
+# Linearity, product and quotient cases in report order: (op, f, g, c, d),
+# where "+" is the combination c*f + d*g.
+_BINARY_RULES = (
+    ("+", "square", "sine", 2.0, -3.0),
+    ("+", "exponential", "cosine", 1.0, 4.0),
+    ("*", "square", "sine", None, None),
+    ("*", "exponential", "cosine", None, None),
+    ("/", "sine", "exponential", None, None),
+    ("/", "square", "exponential", None, None),
+)
 _ROUTE_KEYS = ("square", "sine", "exponential")
 
 
-def _combine(op: str, f: FuncSpec, g: FuncSpec) -> FuncSpec:
-    return FuncSpec(BinOp(op, f.body, g.body))
+def _rule_cases(funcs, config: HarnessConfig) -> list[tuple]:
+    """Each binary rule as (label, op, f, g, combined function, c, d, rtol)."""
+    rtols = {"+": config.linearity_rtol, "*": config.product_rtol, "/": config.quotient_rtol}
+    cases = []
+    for op, fk, gk, c, d in _BINARY_RULES:
+        f, g = funcs[fk], funcs[gk]
+        if op == "+":
+            label = f"{c}*{fk}+{d}*{gk}"
+            body = BinOp("+", BinOp("*", Const(c), f.body), BinOp("*", Const(d), g.body))
+        else:
+            label, body = f"{fk}{op}{gk}", BinOp(op, f.body, g.body)
+        cases.append((label, op, f, g, FuncSpec(body), c, d, rtols[op]))
+    return cases
 
 
-def _scaled_sum(c: float, f: FuncSpec, d: float, g: FuncSpec) -> FuncSpec:
-    return FuncSpec(
-        BinOp("+", BinOp("*", Const(c), f.body), BinOp("*", Const(d), g.body))
-    )
+def _rule_rhs(case: tuple, x: float, a: float, df: float, dg: float) -> float:
+    """Right-hand side of a binary rule at x from the derivatives of f and g."""
+    _, op, f, g, _, c, d, _ = case
+    if op == "+":
+        return c * df + d * dg
+    fv, gv = evaluate(f, x, a), evaluate(g, x, a)
+    if op == "*":
+        return gv * df + fv * dg
+    return (gv * df - fv * dg) / (gv * gv)
 
 
 def check_algebra_rules(
@@ -282,46 +289,17 @@ def check_algebra_rules(
     col = _Collector("algebra_rules", mode)
     for a in config.terminals:
         funcs = registry_for(a)
+        cases = _rule_cases(funcs, config)
         for off in config.t_offsets:
             t = a + off
             for alpha in config.alphas:
-                for fk, gk, c, d in _LINEAR_PAIRS:
-                    fv = deriv_closed_form(funcs[fk], alpha, a, t).value
-                    gv = deriv_closed_form(funcs[gk], alpha, a, t).value
-                    rhs = c * fv + d * gv
-                    lhs = deriv_closed_form(
-                        _scaled_sum(c, funcs[fk], d, funcs[gk]), alpha, a, t
-                    ).value
-                    col.value(
-                        f"{c}*{fk}+{d}*{gk}", alpha, None, t,
-                        lhs, rhs, _scale_tol(config.linearity_rtol, rhs),
-                    )
-                for fk, gk in _PRODUCT_PAIRS:
-                    fv = evaluate(funcs[fk], t, a)
-                    gv = evaluate(funcs[gk], t, a)
-                    dfv = deriv_closed_form(funcs[fk], alpha, a, t).value
-                    dgv = deriv_closed_form(funcs[gk], alpha, a, t).value
-                    rhs = gv * dfv + fv * dgv
-                    lhs = deriv_closed_form(
-                        _combine("*", funcs[fk], funcs[gk]), alpha, a, t
-                    ).value
-                    col.value(
-                        f"{fk}*{gk}", alpha, None, t,
-                        lhs, rhs, _scale_tol(config.product_rtol, rhs),
-                    )
-                for fk, gk in _QUOTIENT_PAIRS:
-                    fv = evaluate(funcs[fk], t, a)
-                    gv = evaluate(funcs[gk], t, a)
-                    dfv = deriv_closed_form(funcs[fk], alpha, a, t).value
-                    dgv = deriv_closed_form(funcs[gk], alpha, a, t).value
-                    rhs = (gv * dfv - fv * dgv) / (gv * gv)
-                    lhs = deriv_closed_form(
-                        _combine("/", funcs[fk], funcs[gk]), alpha, a, t
-                    ).value
-                    col.value(
-                        f"{fk}/{gk}", alpha, None, t,
-                        lhs, rhs, _scale_tol(config.quotient_rtol, rhs),
-                    )
+                for case in cases:
+                    label, _, f, g, combined, _, _, rtol = case
+                    dfv = deriv_closed_form(f, alpha, a, t).value
+                    dgv = deriv_closed_form(g, alpha, a, t).value
+                    rhs = _rule_rhs(case, t, a, dfv, dgv)
+                    lhs = deriv_closed_form(combined, alpha, a, t).value
+                    col.value(label, alpha, None, t, lhs, rhs, _scale_tol(rtol, rhs))
                 col.value(
                     "one", alpha, None, t,
                     deriv_closed_form(funcs["one"], alpha, a, t).value,
@@ -345,69 +323,33 @@ def check_algebra_rules(
                             max(config.route_tol, 10.0 * lm.err_estimate),
                         )
         if mode is TerminalMode.CORRECTED:
-            _algebra_at_terminal(col, a, funcs, config)
+            _algebra_at_terminal(col, a, funcs, cases, config)
     notes = ()
     if mode is TerminalMode.CORRECTED:
         notes = ("rule (v) is not asserted at the terminal for order 1",)
     return col.outcome(notes=notes)
 
 
-def _algebra_at_terminal(col: _Collector, a: float, funcs, config: HarnessConfig) -> None:
+def _algebra_at_terminal(col: _Collector, a: float, funcs, cases, config: HarnessConfig) -> None:
     term = lambda f, alpha: deriv_at_terminal(f, alpha, a, TerminalMode.CORRECTED, config.schedule)
     for alpha in config.alphas:
-        for fk, gk, c, d in _LINEAR_PAIRS:
-            lhs = term(_scaled_sum(c, funcs[fk], d, funcs[gk]), alpha)
-            rf, rg = term(funcs[fk], alpha), term(funcs[gk], alpha)
-            col.require(
-                f"{c}*{fk}+{d}*{gk}", alpha, None, a,
-                lhs.exists and rf.exists and rg.exists, _shown(lhs), "all exist",
-            )
-            if lhs.exists and rf.exists and rg.exists:
-                rhs = c * rf.value + d * rg.value
+        for case in cases:
+            label, _, f, g, combined, _, _, rtol = case
+            lhs = term(combined, alpha)
+            rf, rg = term(f, alpha), term(g, alpha)
+            ok = lhs.exists and rf.exists and rg.exists
+            col.require(label, alpha, None, a, ok, _shown(lhs), "all exist")
+            if ok:
+                rhs = _rule_rhs(case, a, a, rf.value, rg.value)
                 col.value(
-                    f"{c}*{fk}+{d}*{gk}", alpha, None, a,
-                    lhs.value, rhs, _scale_tol(config.linearity_rtol, rhs) + 1e-8,
-                )
-        for fk, gk in _PRODUCT_PAIRS:
-            lhs = term(_combine("*", funcs[fk], funcs[gk]), alpha)
-            rf, rg = term(funcs[fk], alpha), term(funcs[gk], alpha)
-            if lhs.exists and rf.exists and rg.exists:
-                rhs = (
-                    evaluate(funcs[gk], a, a) * rf.value
-                    + evaluate(funcs[fk], a, a) * rg.value
-                )
-                col.value(
-                    f"{fk}*{gk}", alpha, None, a,
-                    lhs.value, rhs, _scale_tol(config.product_rtol, rhs) + 1e-8,
-                )
-            else:
-                col.require(
-                    f"{fk}*{gk}", alpha, None, a,
-                    lhs.exists and rf.exists and rg.exists, _shown(lhs), "all exist",
-                )
-        for fk, gk in _QUOTIENT_PAIRS:
-            lhs = term(_combine("/", funcs[fk], funcs[gk]), alpha)
-            rf, rg = term(funcs[fk], alpha), term(funcs[gk], alpha)
-            if lhs.exists and rf.exists and rg.exists:
-                fv, gv = evaluate(funcs[fk], a, a), evaluate(funcs[gk], a, a)
-                rhs = (gv * rf.value - fv * rg.value) / (gv * gv)
-                col.value(
-                    f"{fk}/{gk}", alpha, None, a,
-                    lhs.value, rhs, _scale_tol(config.quotient_rtol, rhs) + 1e-8,
-                )
-            else:
-                col.require(
-                    f"{fk}/{gk}", alpha, None, a,
-                    lhs.exists and rf.exists and rg.exists, _shown(lhs), "all exist",
+                    label, alpha, None, a, lhs.value, rhs, _scale_tol(rtol, rhs) + 1e-8,
                 )
         col.value("one", alpha, None, a, term(funcs["one"], alpha).value, 0.0, 1e-15)
         # Rule (v) at the terminal, orders below one only: both sides vanish.
         if alpha < 1.0:
             for key in _ROUTE_KEYS:
                 r = term(funcs[key], alpha)
-                col.require(key, alpha, None, a, r.exists, _shown(r), "value(0)")
-                if r.exists:
-                    col.value(key, alpha, None, a, r.value, 0.0, config.terminal_tol)
+                col.result(key, alpha, None, a, r, "value(0)", 0.0, config.terminal_tol)
 
 
 def check_order_relation(
@@ -454,13 +396,11 @@ def _case_split_original(col: _Collector, a: float, funcs, config: HarnessConfig
         for beta in config.alphas:
             r = deriv_at_terminal(funcs[key], beta, a, TerminalMode.ORIGINAL, config.schedule)
             if beta < gamma:
-                col.require(key, None, beta, a, r.exists, _shown(r), "value(0)")
-                if r.exists:
-                    col.value(key, None, beta, a, r.value, 0.0, config.terminal_tol)
+                col.result(key, None, beta, a, r, "value(0)", 0.0, config.terminal_tol)
             elif beta == gamma:
-                col.require(key, None, beta, a, r.exists, _shown(r), f"value({at_value})")
-                if r.exists:
-                    col.value(key, None, beta, a, r.value, at_value, config.terminal_tol)
+                col.result(
+                    key, None, beta, a, r, f"value({at_value})", at_value, config.terminal_tol
+                )
             else:
                 col.require(key, None, beta, a, not r.exists, _shown(r), "does-not-exist")
     # Smooth functions: every order below one exists with value zero.
@@ -469,9 +409,7 @@ def _case_split_original(col: _Collector, a: float, funcs, config: HarnessConfig
             if alpha == 1.0:
                 continue
             r = deriv_at_terminal(funcs[key], alpha, a, TerminalMode.ORIGINAL, config.schedule)
-            col.require(key, alpha, None, a, r.exists, _shown(r), "value(0)")
-            if r.exists:
-                col.value(key, alpha, None, a, r.value, 0.0, config.terminal_tol)
+            col.result(key, alpha, None, a, r, "value(0)", 0.0, config.terminal_tol)
 
 
 def _terminal_conversion_corrected(col: _Collector, a: float, funcs, config: HarnessConfig) -> None:
@@ -489,19 +427,21 @@ def _terminal_conversion_corrected(col: _Collector, a: float, funcs, config: Har
                 _shown(results[alpha]),
                 "exists iff right first derivative exists",
             )
-        if not entry.right_differentiable:
-            continue
-        # Well-defined conversion direction at t = a: for beta < alpha the
-        # weight (t-a)^(alpha-beta) vanishes, so the lower order reads zero.
-        for alpha in config.alphas:
-            for beta in config.alphas:
-                if beta >= alpha or not results[alpha].exists or not results[beta].exists:
-                    continue
-                expected = 0.0 * results[alpha].value
-                col.value(
-                    entry.key, alpha, beta, a,
-                    results[beta].value, expected, config.terminal_tol,
-                )
+        if entry.right_differentiable:
+            _conversion_at_terminal(col, entry.key, a, results, config)
+
+
+def _conversion_at_terminal(col: _Collector, key: str, a: float, results, config) -> None:
+    """Terminal results per order, converted in the well-defined direction.
+
+    For beta < alpha the weight (t-a)^(alpha-beta) vanishes at t = a, so
+    the lower order must read zero wherever both orders exist.
+    """
+    for alpha in config.alphas:
+        for beta in config.alphas:
+            ra, rb = results[alpha], results[beta]
+            if beta < alpha and ra.exists and rb.exists:
+                col.value(key, alpha, beta, a, rb.value, 0.0 * ra.value, config.terminal_tol)
 
 
 def check_inverses(
@@ -522,30 +462,19 @@ def check_inverses(
                         continue
                     if entry.jump is None:  # left inverse needs continuity on [a, t]
                         r = deriv_of_integral(f, alpha, a, t, config.quad, config.schedule)
-                        col.require(
-                            f"T(I {entry.key})", alpha, None, t, r.exists,
-                            _shown(r), "value(f(t))",
+                        col.result(
+                            f"T(I {entry.key})", alpha, None, t, r,
+                            "value(f(t))", evaluate(f, t, a), config.inverse_tol,
                         )
-                        if r.exists:
-                            col.value(
-                                f"T(I {entry.key})", alpha, None, t,
-                                r.value, evaluate(f, t, a), config.inverse_tol,
-                            )
                     if entry.kink_offset is not None:
                         continue  # not differentiable throughout (a, t]
-                    r = integral_of_deriv(f, alpha, a, t, mode, config.quad)
-                    right_limit = evaluate_body(f, a)
-                    expected = evaluate(f, t, a) - right_limit
-                    col.require(
-                        f"I(T {entry.key})", alpha, None, t, r.exists,
-                        _shown(r), "value(f(t) - f(a+))",
+                    r = integral_of_deriv(f, alpha, a, t, config.quad)
+                    col.result(
+                        f"I(T {entry.key})", alpha, None, t, r, "value(f(t) - f(a+))",
+                        evaluate(f, t, a) - evaluate_body(f, a), config.inverse_tol,
                     )
                     if not r.exists:
                         continue
-                    col.value(
-                        f"I(T {entry.key})", alpha, None, t,
-                        r.value, expected, config.inverse_tol,
-                    )
                     if entry.jump is not None:
                         # The naive f(t) - f(a) form misses by exactly the jump.
                         naive = evaluate(f, t, a) - evaluate(f, a, a)
@@ -582,13 +511,7 @@ def check_continuity_implication(
             r = deriv_at_terminal(f, 0.5, a, mode, config.schedule)
             # Right oscillation: the gap between the extrapolated right limit
             # of f and its assigned value at the terminal.
-            mesh = [
-                evaluate(f, a + 1e-2 * 0.5**k, a)
-                for k in range(config.schedule.levels)
-            ]
-            limit, _, why = _limit_of_power_sequence(
-                mesh, 2.0, config.schedule.cauchy_tol, config.schedule.divergence_cap
-            )
+            limit, _, why = right_limit(lambda h: evaluate(f, a + h, a), config.schedule)
             if why is None:
                 oscillation = abs(limit - evaluate(f, a, a))
                 shown_osc = f"{oscillation:.6g}"
@@ -650,15 +573,15 @@ def check_terminal_checklist(
     ]
     # Precompute terminal results per (a, key, alpha) plus the right-derivative
     # oracle (the corrected order-1 evaluation is exactly that quotient limit).
-    term: dict[tuple[float, str, float], EvalResult] = {}
+    term: dict[tuple[float, str], dict[float, EvalResult]] = {}
     right_deriv: dict[tuple[float, str], EvalResult] = {}
     for a in config.terminals:
         funcs = registry_for(a)
         for key in _CHECKLIST_KEYS:
-            for alpha in config.alphas:
-                term[(a, key, alpha)] = deriv_at_terminal(
-                    funcs[key], alpha, a, mode, config.schedule
-                )
+            term[(a, key)] = {
+                alpha: deriv_at_terminal(funcs[key], alpha, a, mode, config.schedule)
+                for alpha in config.alphas
+            }
             right_deriv[(a, key)] = deriv_at_terminal(
                 funcs[key], 1.0, a, TerminalMode.CORRECTED, config.schedule
             )
@@ -666,8 +589,8 @@ def check_terminal_checklist(
     col = _Collector("depends_on_terminal_value", mode)
     for a in config.terminals:
         for alpha in config.alphas:
-            base = term[(a, "identity", alpha)]
-            dec = term[(a, "jump_identity", alpha)]
+            base = term[(a, "identity")][alpha]
+            dec = term[(a, "jump_identity")][alpha]
             differs = base.exists != dec.exists or (
                 base.exists and dec.exists and base.value != dec.value
             )
@@ -687,8 +610,8 @@ def check_terminal_checklist(
     col = _Collector("existence_uniform_in_order", mode)
     for a in config.terminals:
         for key in _CHECKLIST_KEYS:
-            existing = [al for al in config.alphas if term[(a, key, al)].exists]
-            missing = [al for al in config.alphas if not term[(a, key, al)].exists]
+            existing = [al for al in config.alphas if term[(a, key)][al].exists]
+            missing = [al for al in config.alphas if not term[(a, key)][al].exists]
             uniform = not existing or not missing
             col.require(
                 key,
@@ -706,7 +629,7 @@ def check_terminal_checklist(
         for key in _CHECKLIST_KEYS:
             rd = right_deriv[(a, key)]
             for alpha in config.alphas:
-                r = term[(a, key, alpha)]
+                r = term[(a, key)][alpha]
                 col.require(
                     key, alpha, None, a, r.exists == rd.exists,
                     f"derivative {_shown(r)}; right f'(a) {_shown(rd)}",
@@ -718,7 +641,7 @@ def check_terminal_checklist(
     for a in config.terminals:
         for key in _CHECKLIST_KEYS:
             rd = right_deriv[(a, key)]
-            r1 = term[(a, key, 1.0)]
+            r1 = term[(a, key)][1.0]
             col.require(
                 key, 1.0, None, a, r1.exists == rd.exists,
                 f"order-1 {_shown(r1)}; right f'(a) {_shown(rd)}",
@@ -733,7 +656,7 @@ def check_terminal_checklist(
         for key in _CHECKLIST_KEYS:
             rd = right_deriv[(a, key)]
             for alpha in config.alphas:
-                r = term[(a, key, alpha)]
+                r = term[(a, key)][alpha]
                 # Weighted-f' form at the terminal: the weight vanishes for
                 # orders below one, so existence must track f'(a) and the
                 # value must be zero.
@@ -745,15 +668,7 @@ def check_terminal_checklist(
                     )
                     if r.exists and rd.exists:
                         col.value(key, alpha, None, a, r.value, 0.0, config.terminal_tol)
-            # Conversion pairs in the well-defined direction (beta < alpha).
-            for alpha in config.alphas:
-                for beta in config.alphas:
-                    if beta >= alpha:
-                        continue
-                    ra, rb = term[(a, key, alpha)], term[(a, key, beta)]
-                    if ra.exists and rb.exists:
-                        col.value(key, alpha, beta, a, rb.value, 0.0 * ra.value,
-                                  config.terminal_tol)
+            _conversion_at_terminal(col, key, a, term[(a, key)], config)
     outcomes.append(col.outcome())
     return outcomes
 
@@ -783,55 +698,21 @@ for _check in CHECKLIST_IDS[1:]:
 
 
 def _registry_hash() -> str:
-    payload = json.dumps(
-        [
-            {
-                "key": e.key,
-                "sources": [e.source(a) for a in DEFAULT_CONFIG.terminals],
-                "jump": e.jump,
-                "smooth": e.smooth,
-                "continuous_at_terminal": e.continuous_at_terminal,
-                "right_differentiable": e.right_differentiable,
-                "kink_offset": e.kink_offset,
-            }
-            for e in REGISTRY
-        ],
-        sort_keys=True,
-    )
+    entries = []
+    for e in REGISTRY:
+        entry = asdict(e)
+        del entry["template"]
+        entry["sources"] = [e.source(a) for a in DEFAULT_CONFIG.terminals]
+        entries.append(entry)
+    payload = json.dumps(entries, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def _config_echo(config: HarnessConfig) -> dict:
-    return {
-        "alphas": list(config.alphas),
-        "t_offsets": list(config.t_offsets),
-        "terminals": list(config.terminals),
-        "composition_alphas": list(config.composition_alphas),
-        "composition_offsets": list(config.composition_offsets),
-        "quad": {
-            "abs_tol": config.quad.abs_tol,
-            "rel_tol": config.quad.rel_tol,
-            "max_subdivisions": config.quad.max_subdivisions,
-        },
-        "schedule": {
-            "theta0": config.schedule.theta0,
-            "shrink": config.schedule.shrink,
-            "levels": config.schedule.levels,
-            "cauchy_tol": config.schedule.cauchy_tol,
-            "divergence_cap": config.schedule.divergence_cap,
-        },
-        "tolerances": {
-            "linearity_rtol": config.linearity_rtol,
-            "product_rtol": config.product_rtol,
-            "quotient_rtol": config.quotient_rtol,
-            "order_rtol": config.order_rtol,
-            "route_tol": config.route_tol,
-            "inverse_tol": config.inverse_tol,
-            "terminal_tol": config.terminal_tol,
-            "jump_counterexample_tol": config.jump_counterexample_tol,
-            "continuity_osc_tol": config.continuity_osc_tol,
-        },
-    }
+    """The config as plain data, its tolerance fields grouped under "tolerances"."""
+    echo = asdict(config)
+    echo["tolerances"] = {k: echo.pop(k) for k in list(echo) if k.endswith("tol")}
+    return echo
 
 
 @dataclass(frozen=True)

@@ -69,8 +69,8 @@ def test_acceptance_1_closed_form_agreement():
                 for off in (1e-3, 0.1, 1.0, 4.0, 10.0):
                     t = a + off
                     lm = deriv_limit(f, alpha, a, t)
-                    d = evaluate_dual(f, t)
-                    closed = math.exp((1.0 - alpha) * math.log(t - a)) * d.deriv
+                    _, deriv = evaluate_dual(f, t)
+                    closed = math.exp((1.0 - alpha) * math.log(t - a)) * deriv
                     if not lm.exists:
                         failures.append((name, a, alpha, off, "limit DNE", lm.reason))
                         continue
@@ -83,7 +83,7 @@ def test_acceptance_1_closed_form_agreement():
                 t = a + off
                 h = 1e-6
                 fd = (evaluate_body(f, t + h) - evaluate_body(f, t - h)) / (2.0 * h)
-                dd = evaluate_dual(f, t).deriv
+                _, dd = evaluate_dual(f, t)
                 if abs(dd - fd) > 1e-5 * max(1.0, abs(dd)):
                     failures.append((name, a, off, "dual vs FD", abs(dd - fd)))
     _report(1, failures, f"limit vs closed form <= 1e-6 (worst {worst:.3e}), dual vs FD <= 1e-5 rel")

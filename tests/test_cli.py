@@ -148,6 +148,35 @@ def test_deriv_exit_code_is_total(entry, alpha, a, t, method, mode):
     assert "Traceback" not in err.getvalue()
 
 
+@pytest.mark.parametrize("t", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["deriv", "--expr", "sin(t)", "--alpha", "1", "--a", "0"],
+        ["deriv", "--expr", "sin(t)", "--alpha", "1", "--a", "0", "--method", "limit"],
+        ["integ", "--expr", "sin(t)", "--alpha", "0.5", "--a", "0"],
+        ["sweep", "--var", "alpha", "--start", "0.1", "--stop", "1", "--steps", "3",
+         "--expr", "sin(t)", "--a", "0"],
+    ],
+    ids=["deriv", "deriv-limit", "integ", "sweep-alpha"],
+)
+def test_non_finite_t_is_a_usage_error(capsys, argv, t):
+    code, out, err = run(capsys, *argv, f"--t={t}")
+    assert code == 1
+    assert err == f"error: t must be finite, got {t}\n"
+    assert out == ""
+
+
+def test_t_sweep_to_inf_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "sweep", "--var", "t", "--start", "1", "--stop", "inf", "--steps", "3",
+        "--expr", "sin(t)", "--a", "0", "--alpha", "0.5",
+    )
+    assert code == 1
+    assert err == "error: t must be finite, got inf\n"
+    assert out == ""
+
+
 # --------------------------------------------------------------------------
 # integ
 # --------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from conformable import (
     deriv_limit,
     evaluate_dual,
     order_convert,
+    right_limit,
 )
 from conformable import core
 from conformable.errors import DomainError, PreconditionError
@@ -102,6 +103,21 @@ def test_closed_form_requires_interior_point():
         deriv_closed_form(F("t"), 0.5, 0.0, 0.0)
     with pytest.raises(PreconditionError):
         deriv_closed_form(F("t"), 0.5, 0.0, -1.0)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+@pytest.mark.parametrize(
+    "operator",
+    [
+        lambda t: deriv_closed_form(F("sin(t)"), 0.5, 0.0, t),
+        lambda t: deriv_limit(F("sin(t)"), 0.5, 0.0, t),
+        lambda t: order_convert(1.0, 0.5, 0.7, 0.0, t),
+    ],
+    ids=["closed", "limit", "order_convert"],
+)
+def test_interior_operators_reject_non_finite_t(operator, t):
+    with pytest.raises(PreconditionError, match=f"t must be finite, got {t!r}"):
+        operator(t)
 
 
 def test_closed_form_propagates_domain_error():
@@ -339,6 +355,40 @@ def test_fast_checks_pass_instances_through():
         core._order_value(math.nan)
     with pytest.raises(ValueError, match="lower terminal a must be finite"):
         core._terminal_value("0")
+
+
+# --------------------------------------------------------------------------
+# right limits
+# --------------------------------------------------------------------------
+
+def test_right_limit_of_convergent_input_is_the_extrapolated_mesh():
+    g = lambda h: 2.0 + 3.0 * h + h * h  # noqa: E731
+    limit, err, why = right_limit(g)
+    assert why is None
+    assert abs(limit - 2.0) <= 1e-12
+    mesh = [g(1e-2 * 0.5**k) for k in range(DEFAULT_SCHEDULE.levels)]
+    assert (limit, err, why) == core._limit_of_power_sequence(
+        mesh, 2.0, DEFAULT_SCHEDULE.cauchy_tol, DEFAULT_SCHEDULE.divergence_cap
+    )
+
+
+def test_right_limit_of_oscillating_input_does_not_exist():
+    assert right_limit(lambda h: math.sin(math.log(h))) == (
+        None, 0.0, "mesh values do not contract toward a limit"
+    )
+
+
+def test_right_limit_uses_the_schedule_mesh():
+    offsets = []
+
+    def g(h):
+        offsets.append(h)
+        return 1.0 + math.sqrt(h)
+
+    limit, _, why = right_limit(g, LimitSchedule(shrink=0.25, levels=10))
+    assert offsets == [1e-2 * 0.25**k for k in range(10)]
+    assert why is None
+    assert abs(limit - 1.0) <= 1e-12
 
 
 # --------------------------------------------------------------------------

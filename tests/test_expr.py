@@ -9,8 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conformable import expr
-from conformable import dual as _d
-from conformable.dual import Dual
 from conformable.errors import (
     DomainError,
     NonDifferentiableError,
@@ -30,6 +28,7 @@ from conformable.expr import (
     evaluate_body,
     evaluate_dual,
     parse,
+    power_pair,
     register_function,
     unparse,
 )
@@ -240,24 +239,21 @@ def test_negative_base_integer_exponent_ok():
 # --------------------------------------------------------------------------
 
 def test_dual_power_rule():
-    d = evaluate_dual(FuncSpec.from_source("t^2"), 3.0)
-    assert (d.value, d.deriv) == (9.0, 6.0)
+    assert evaluate_dual(FuncSpec.from_source("t^2"), 3.0) == (9.0, 6.0)
 
 
 def test_dual_sin_at_zero():
-    d = evaluate_dual(FuncSpec.from_source("sin(t)"), 0.0)
-    assert d.value == 0.0
-    assert d.deriv == 1.0
+    assert evaluate_dual(FuncSpec.from_source("sin(t)"), 0.0) == (0.0, 1.0)
 
 
 def test_dual_fractional_power_against_central_difference():
     f = FuncSpec.from_source("t^0.4")
-    d = evaluate_dual(f, 1.0)
+    value, deriv = evaluate_dual(f, 1.0)
     h = 1e-6
     fd = (evaluate_body(f, 1.0 + h) - evaluate_body(f, 1.0 - h)) / (2.0 * h)
-    assert d.value == pytest.approx(1.0)
-    assert d.deriv == pytest.approx(0.4)
-    assert abs(d.deriv - fd) <= 1e-6 * max(1.0, abs(d.deriv))
+    assert value == pytest.approx(1.0)
+    assert deriv == pytest.approx(0.4)
+    assert abs(deriv - fd) <= 1e-6 * max(1.0, abs(deriv))
 
 
 def test_dual_abs_at_kink_raises():
@@ -267,8 +263,7 @@ def test_dual_abs_at_kink_raises():
 
 def test_dual_ignores_jump():
     f = FuncSpec.from_source("t", jump_at_terminal=5.0)
-    d = evaluate_dual(f, 0.0)
-    assert (d.value, d.deriv) == (0.0, 1.0)
+    assert evaluate_dual(f, 0.0) == (0.0, 1.0)
 
 
 @given(
@@ -280,10 +275,10 @@ def test_dual_ignores_jump():
 )
 def test_dual_matches_central_difference(source, t):
     f = FuncSpec.from_source(source)
-    d = evaluate_dual(f, t)
+    _, deriv = evaluate_dual(f, t)
     h = 1e-6
     fd = (evaluate_body(f, t + h) - evaluate_body(f, t - h)) / (2.0 * h)
-    assert abs(d.deriv - fd) <= 1e-5 * max(1.0, abs(d.deriv))
+    assert abs(deriv - fd) <= 1e-5 * max(1.0, abs(deriv))
 
 
 def test_tree_at_depth_limit_evaluates_on_both_paths():
@@ -293,8 +288,7 @@ def test_tree_at_depth_limit_evaluates_on_both_paths():
     for _ in range(MAX_DEPTH - 1):
         x, dx = math.sin(x), math.cos(x) * dx
     assert evaluate_body(f, 0.5) == x
-    d = evaluate_dual(f, 0.5)
-    assert (d.value, d.deriv) == (x, dx)
+    assert evaluate_dual(f, 0.5) == (x, dx)
 
 
 # --------------------------------------------------------------------------
@@ -332,28 +326,79 @@ def _walk_float(node, t):
     raise TypeError(f"not an expression node: {node!r}")
 
 
+# The pair rules of the forward-mode number type that `_walk_dual` used,
+# on (value, derivative) tuples.
+def _pair_div(num, den):
+    if den[0] == 0.0:
+        raise DomainError("division by zero")
+    v = num[0] / den[0]
+    return v, (num[1] - v * den[1]) / den[0]
+
+
+def _pair_abs(x):
+    if x[0] == 0.0:
+        raise NonDifferentiableError("abs has no derivative at 0")
+    sign = 1.0 if x[0] > 0.0 else -1.0
+    return abs(x[0]), sign * x[1]
+
+
+def _pair_ln(x):
+    if x[0] <= 0.0:
+        raise DomainError(f"ln of non-positive value {x[0]!r}")
+    return math.log(x[0]), x[1] / x[0]
+
+
+def _pair_sqrt(x):
+    if x[0] < 0.0:
+        raise DomainError(f"sqrt of negative value {x[0]!r}")
+    if x[0] == 0.0:
+        raise NonDifferentiableError("sqrt has no finite derivative at 0")
+    v = math.sqrt(x[0])
+    return v, x[1] / (2.0 * v)
+
+
+def _pair_exp(x):
+    v = math.exp(x[0])
+    return v, v * x[1]
+
+
+_PAIR_FUNCTIONS = {
+    "sin": lambda x: (math.sin(x[0]), math.cos(x[0]) * x[1]),
+    "cos": lambda x: (math.cos(x[0]), -math.sin(x[0]) * x[1]),
+    "exp": _pair_exp,
+    "ln": _pair_ln,
+    "abs": _pair_abs,
+    "sqrt": _pair_sqrt,
+}
+
+
 def _walk_dual(node, t):
+    """(value, derivative) of node, where t is the pair of the variable."""
     if isinstance(node, BinOp):
-        left = _walk_dual(node.left, t)
-        right = _walk_dual(node.right, t)
+        (a, da), (b, db) = _walk_dual(node.left, t), _walk_dual(node.right, t)
         op = node.op
         if op == "+":
-            return left + right
+            return a + b, da + db
         if op == "-":
-            return left - right
+            return a - b, da - db
         if op == "*":
-            return left * right
+            return a * b, da * b + a * db
         if op == "/":
-            return left / right
-        return _d.power(left, right)
+            return _pair_div((a, da), (b, db))
+        return power_pair(a, da, b, db)
     if isinstance(node, Const):
-        return Dual(node.value, 0.0)
+        return node.value, 0.0
     if isinstance(node, Var):
         return t
     if isinstance(node, Neg):
-        return -_walk_dual(node.operand, t)
+        v, d = _walk_dual(node.operand, t)
+        return -v, -d
     if isinstance(node, Call):
-        return expr.FUNCTIONS[node.func].dual(_walk_dual(node.arg, t))
+        x = _walk_dual(node.arg, t)
+        if node.func in _PAIR_FUNCTIONS:
+            return _PAIR_FUNCTIONS[node.func](x)
+        fd = expr.FUNCTIONS[node.func]
+        return fd.real(x[0]), fd.deriv(x[0]) * x[1]
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -369,10 +414,10 @@ def _reference_body(node, t):
 
 def _reference_dual(node, t):
     try:
-        d = _walk_dual(node, Dual.variable(t))
+        d = _walk_dual(node, (float(t), 1.0))
     except OverflowError as exc:
         raise NonFiniteError(f"overflow evaluating at t={t!r}") from exc
-    if not (math.isfinite(d.value) and math.isfinite(d.deriv)):
+    if not (math.isfinite(d[0]) and math.isfinite(d[1])):
         raise NonFiniteError(f"non-finite dual result {d!r} at t={t!r}")
     return d
 
@@ -383,7 +428,7 @@ def _outcome(fn, *args):
         out = fn(*args)
     except Exception as exc:  # noqa: BLE001 - any exception must match
         return type(exc), str(exc)
-    values = (out.value, out.deriv) if isinstance(out, Dual) else (out,)
+    values = out if isinstance(out, tuple) else (out,)
     return "ok", struct.pack(f"<{len(values)}d", *values)
 
 
@@ -468,7 +513,7 @@ def test_compiled_matches_reference_at_edges(source, t, float_outcome, pair_outc
     [("t^0", 1.0, 0.0), ("t^1", 0.0, 1.0), ("t^2.5", 0.0, 0.0), ("t^2", 0.0, 0.0)],
 )
 def test_zero_base_power_values(source, value, deriv):
-    assert evaluate_dual(parse(source), 0.0) == Dual(value, deriv)
+    assert evaluate_dual(parse(source), 0.0) == (value, deriv)
 
 
 def test_negative_constants_in_hand_built_trees():
@@ -478,7 +523,7 @@ def test_negative_constants_in_hand_built_trees():
 
 
 def test_generated_source_holds_only_fixed_names_and_floats(registry):
-    register_function("cube", _cube, _cube)
+    register_function("cube", _cube, _dcube)
     node = parse("cube(sin(t))/1e999 + ln(t)^2.5 - 0.1")
     for pair in (False, True):
         source = expr._lower(node, pair)
@@ -513,6 +558,10 @@ def _cube(x):
     return x * x * x
 
 
+def _dcube(x):
+    return 3.0 * x * x
+
+
 def test_parse_memo_returns_the_same_ast():
     assert parse("t^2 + sin(t)") is parse("t^2 + sin(t)")
 
@@ -520,7 +569,7 @@ def test_parse_memo_returns_the_same_ast():
 def test_failed_parse_is_not_memoised(registry):
     with pytest.raises(UnknownIdentifierError):
         parse("cube(t) + 1")
-    register_function("cube", _cube, _cube)
+    register_function("cube", _cube, _dcube)
     assert parse("cube(t) + 1") == BinOp("+", Call("cube", Var()), Const(1.0))
 
 
@@ -529,13 +578,12 @@ def test_registered_function_after_memos_are_populated(registry):
         f = FuncSpec.from_source(source)
         evaluate_body(f, 2.0)
         evaluate_dual(f, 2.0)
-    register_function("cube", _cube, _cube)
+    register_function("cube", _cube, _dcube)
     f = FuncSpec.from_source("cube(t^2 + 1) - sin(t)*t")
     assert evaluate_body(f, 2.0) == _reference_body(f.body, 2.0)
     d = evaluate_dual(f, 2.0)
     assert d == _reference_dual(f.body, 2.0)
-    assert (d.value, d.deriv) == (125.0 - math.sin(2.0) * 2.0,
-                                  300.0 - (math.cos(2.0) * 2.0 + math.sin(2.0)))
+    assert d == (125.0 - math.sin(2.0) * 2.0, 300.0 - (math.cos(2.0) * 2.0 + math.sin(2.0)))
 
 
 def test_equal_bodies_share_compiled_code():
@@ -545,13 +593,13 @@ def test_equal_bodies_share_compiled_code():
     assert evaluate(plain, 1.0, 1.0) == 2.0
     assert evaluate(jumped, 1.0, 1.0) == 5.0
     assert evaluate(jumped, 2.0, 1.0) == 5.0
-    assert evaluate_dual(plain, 1.0) == evaluate_dual(jumped, 1.0) == Dual(2.0, 2.0)
+    assert evaluate_dual(plain, 1.0) == evaluate_dual(jumped, 1.0) == (2.0, 2.0)
     assert plain._float_code is jumped._float_code
     assert plain._pair_code is jumped._pair_code
 
 
 def test_registered_name_does_not_clash_with_negation(registry):
-    register_function("neg", _cube, _cube)
+    register_function("neg", _cube, _dcube)
     node = parse("neg(t) - -t + neg(-t)")
     for t in (2.0, -1.5):
         _assert_matches_reference(node, t)

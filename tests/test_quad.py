@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from conformable import (
     FuncSpec,
-    TerminalMode,
     deriv_of_integral,
     evaluate,
     evaluate_body,
@@ -160,13 +159,6 @@ def test_right_inverse_uses_right_limit_not_value():
     assert r.value - naive == pytest.approx(5.0, abs=1e-9)
 
 
-def test_right_inverse_mode_independent():
-    f = F("sin(t)")
-    a = integral_of_deriv(f, 0.5, 0.0, 2.0, TerminalMode.ORIGINAL)
-    b = integral_of_deriv(f, 0.5, 0.0, 2.0, TerminalMode.CORRECTED)
-    assert a == b
-
-
 def test_right_inverse_singular_integrand():
     # f = (t-a)^0.4 at alpha = 1: integrand (s-a)^-0.6 is unbounded but integrable
     r = integral_of_deriv(F("(t-0.0)^0.4"), 1.0, 0.0, 2.0)
@@ -190,6 +182,13 @@ def test_right_inverse_grid(alpha, a):
             expected = evaluate_body(f, a + off) - evaluate_body(f, a)
             assert r.exists
             assert abs(r.value - expected) <= 1e-6
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+@pytest.mark.parametrize("operator", [integral, deriv_of_integral, integral_of_deriv])
+def test_quad_operators_reject_non_finite_t(operator, t):
+    with pytest.raises(PreconditionError, match=f"t must be finite, got {t!r}"):
+        operator(F("sin(t)"), 0.5, 0.0, t)
 
 
 def test_compositions_require_interior_point():
