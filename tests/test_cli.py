@@ -207,6 +207,15 @@ def test_integ_convergence_exit(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("expr", ["t^-1", "1/t"])
+def test_integ_divergent_exits_three(capsys, expr):
+    # ∫_0^1 s^-0.5 * s^-1 ds diverges: the running sum overflows to inf
+    code, out, err = run(capsys, "integ", "--expr", expr, "--alpha", "0.5", "--a", "0", "--t", "1")
+    assert code == 3
+    assert out == ""
+    assert err == "error: quadrature diverged: value or error bound is not finite\n"
+
+
 # --------------------------------------------------------------------------
 # sweep
 # --------------------------------------------------------------------------
