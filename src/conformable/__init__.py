@@ -1,7 +1,12 @@
 """Numerical conformable calculus: derivative and integral operators of
 order alpha in (0, 1], with both the original and the corrected convention
 for the value at the lower terminal, plus a verification harness that
-checks the operator identities numerically."""
+checks the operator identities numerically.
+
+The harness (`conformable.verify`, with `run_all` and `VerificationReport`)
+is imported on first use, so importing the package loads only the
+operators.
+"""
 
 from .core import (
     DEFAULT_SCHEDULE,
@@ -41,6 +46,55 @@ from .expr import (
     unparse,
 )
 from .quad import QuadConfig, deriv_of_integral, integral, integral_of_deriv
-from .verify import VerificationReport, run_all
 
 __version__ = "0.1.0"
+
+__all__ = [
+    "BinOp",
+    "Call",
+    "Const",
+    "ConvergenceError",
+    "DEFAULT_SCHEDULE",
+    "DomainError",
+    "EvalResult",
+    "Expr",
+    "FuncSpec",
+    "LimitSchedule",
+    "Neg",
+    "NonDifferentiableError",
+    "NonFiniteError",
+    "Order",
+    "ParseError",
+    "PreconditionError",
+    "QuadConfig",
+    "Terminal",
+    "TerminalMode",
+    "UnknownIdentifierError",
+    "Var",
+    "VerificationReport",
+    "deriv_at_terminal",
+    "deriv_closed_form",
+    "deriv_limit",
+    "deriv_of_integral",
+    "evaluate",
+    "evaluate_body",
+    "evaluate_dual",
+    "integral",
+    "integral_of_deriv",
+    "order_convert",
+    "parse",
+    "register_function",
+    "right_limit",
+    "run_all",
+    "unparse",
+]
+
+
+def __getattr__(name: str):
+    """Load the verification harness when one of its names is first used."""
+    if name in ("verify", "run_all", "VerificationReport"):
+        import importlib
+
+        verify = importlib.import_module(".verify", __name__)
+        return verify if name == "verify" else getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

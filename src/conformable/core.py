@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence, Union
 
 from .errors import NonDifferentiableError, PreconditionError
 from .expr import FuncSpec, evaluate, evaluate_dual
+from .record import Record
 
 __all__ = [
     "EvalResult",
@@ -46,24 +46,22 @@ Func = Union[FuncSpec, PointFunc]
 _EPS = sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class Order:
+class Order(Record):
     """Fractional order constrained to (0, 1]."""
 
-    alpha: float
+    __slots__ = _fields = ("alpha",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _checked_order(self.alpha))
+    def __init__(self, alpha: float):
+        object.__setattr__(self, "alpha", _checked_order(alpha))
 
 
-@dataclass(frozen=True)
-class Terminal:
+class Terminal(Record):
     """Lower terminal of the operator."""
 
-    a: float
+    __slots__ = _fields = ("a",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _checked_terminal(self.a))
+    def __init__(self, a: float):
+        object.__setattr__(self, "a", _checked_terminal(a))
 
 
 class TerminalMode(Enum):
@@ -71,8 +69,7 @@ class TerminalMode(Enum):
     CORRECTED = "corrected"
 
 
-@dataclass(frozen=True)
-class LimitSchedule:
+class LimitSchedule(Record):
     """Step schedule for limit extrapolation.
 
     ``theta0 = None`` selects the automatic initial step
@@ -83,23 +80,31 @@ class LimitSchedule:
     used.  An explicit ``theta0`` is used as given.
     """
 
-    theta0: float | None = None
-    shrink: float = 0.5
-    levels: int = 12
-    cauchy_tol: float = 1e-8
-    divergence_cap: float = 1e12
+    __slots__ = _fields = ("theta0", "shrink", "levels", "cauchy_tol", "divergence_cap")
 
-    def __post_init__(self):
-        if self.theta0 is not None and not self.theta0 > 0.0:
+    def __init__(
+        self,
+        theta0: float | None = None,
+        shrink: float = 0.5,
+        levels: int = 12,
+        cauchy_tol: float = 1e-8,
+        divergence_cap: float = 1e12,
+    ):
+        if theta0 is not None and not theta0 > 0.0:
             raise ValueError("theta0 must be positive")
-        if not 0.0 < self.shrink < 1.0:
+        if not 0.0 < shrink < 1.0:
             raise ValueError("shrink must lie in (0,1)")
-        if self.levels < 3:
+        if levels < 3:
             raise ValueError("levels must be at least 3")
-        if not self.cauchy_tol > 0.0:
+        if not cauchy_tol > 0.0:
             raise ValueError("cauchy_tol must be positive")
-        if not self.divergence_cap > 0.0:
+        if not divergence_cap > 0.0:
             raise ValueError("divergence_cap must be positive")
+        object.__setattr__(self, "theta0", theta0)
+        object.__setattr__(self, "shrink", shrink)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "cauchy_tol", cauchy_tol)
+        object.__setattr__(self, "divergence_cap", divergence_cap)
 
 
 DEFAULT_SCHEDULE = LimitSchedule()
@@ -108,19 +113,24 @@ DEFAULT_SCHEDULE = LimitSchedule()
 _TERMINAL_OFFSET = 1e-2
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(Record):
     """Value-or-nonexistence outcome of an operator evaluation."""
 
-    value: float | None = None
-    err_estimate: float | None = None
-    reason: str | None = None
+    __slots__ = _fields = ("value", "err_estimate", "reason")
 
-    def __post_init__(self):
-        if (self.value is None) == (self.reason is None):
+    def __init__(
+        self,
+        value: float | None = None,
+        err_estimate: float | None = None,
+        reason: str | None = None,
+    ):
+        if (value is None) == (reason is None):
             raise ValueError("exactly one of value and reason must be set")
-        if self.value is not None and not (self.err_estimate is not None and self.err_estimate >= 0.0):
+        if value is not None and not (err_estimate is not None and err_estimate >= 0.0):
             raise ValueError("a value requires a non-negative err_estimate")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "err_estimate", err_estimate)
+        object.__setattr__(self, "reason", reason)
 
     @property
     def exists(self) -> bool:

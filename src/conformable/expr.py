@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Union
 
@@ -35,6 +34,7 @@ from .errors import (
     ParseError,
     UnknownIdentifierError,
 )
+from .record import Record
 
 __all__ = [
     "BinOp",
@@ -70,51 +70,64 @@ CODE_MEMO_SIZE = 1024
 # AST
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Const:
-    value: float
+class Const(Record):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: float):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
+class Var(Record):
     """The free variable t."""
 
-
-@dataclass(frozen=True, slots=True)
-class Neg:
-    operand: "Expr"
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class BinOp:
-    op: str  # one of + - * / ^
-    left: "Expr"
-    right: "Expr"
+class Neg(Record):
+    __slots__ = _fields = ("operand",)
+
+    def __init__(self, operand: "Expr"):
+        object.__setattr__(self, "operand", operand)
 
 
-@dataclass(frozen=True, slots=True)
-class Call:
-    func: str
-    arg: "Expr"
+class BinOp(Record):
+    __slots__ = _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: "Expr", right: "Expr"):
+        object.__setattr__(self, "op", op)  # one of + - * / ^
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+
+class Call(Record):
+    __slots__ = _fields = ("func", "arg")
+
+    def __init__(self, func: str, arg: "Expr"):
+        object.__setattr__(self, "func", func)
+        object.__setattr__(self, "arg", arg)
 
 
 Expr = Union[Const, Var, Neg, BinOp, Call]
 
 
-@dataclass(frozen=True, slots=True)
-class FuncSpec:
+class FuncSpec(Record):
     """An expression body, optionally carrying a jump at the lower terminal.
 
     With ``jump_at_terminal = c``, evaluation returns ``body(t) + c`` at
     exactly ``t = a`` and ``body(t)`` everywhere else.  Derivative-side
     evaluation (`evaluate_dual`) always uses the body.  The compiled code
     of each path is cached on the spec; specs with equal bodies share it.
+    Equality, hashing and the repr use the body and the jump only.
     """
 
-    body: Expr
-    jump_at_terminal: float | None = None
-    _float_code: Callable | None = field(default=None, init=False, repr=False, compare=False)
-    _pair_code: Callable | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("body", "jump_at_terminal", "_float_code", "_pair_code")
+    _fields = ("body", "jump_at_terminal")
+
+    def __init__(self, body: Expr, jump_at_terminal: float | None = None):
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "jump_at_terminal", jump_at_terminal)
+        object.__setattr__(self, "_float_code", None)
+        object.__setattr__(self, "_pair_code", None)
 
     @classmethod
     def from_source(cls, source: str, jump_at_terminal: float | None = None) -> "FuncSpec":
@@ -125,17 +138,24 @@ class FuncSpec:
 # Function registry
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FunctionDef:
+class FunctionDef(Record):
     """A unary function and, for a registered one, its derivative.
 
     The builtins carry no ``deriv``: their pair rules are inline in
     `_PAIR_RULES`.
     """
 
-    name: str
-    real: Callable[[float], float]
-    deriv: Callable[[float], float] | None = None
+    __slots__ = _fields = ("name", "real", "deriv")
+
+    def __init__(
+        self,
+        name: str,
+        real: Callable[[float], float],
+        deriv: Callable[[float], float] | None = None,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "real", real)
+        object.__setattr__(self, "deriv", deriv)
 
 
 def _ln_domain(x: float):
@@ -202,12 +222,14 @@ _OP_CHARS = "+-*/^(),"
 _ATOM_EXPECTED = frozenset({"a number", "'t'", "a function name", "'('", "'-'"})
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number" | "ident" | "op" | "end"
-    text: str
-    pos: int  # character offset into the source
-    value: float = 0.0
+class _Token(Record):
+    __slots__ = _fields = ("kind", "text", "pos", "value")
+
+    def __init__(self, kind: str, text: str, pos: int, value: float = 0.0):
+        object.__setattr__(self, "kind", kind)  # "number" | "ident" | "op" | "end"
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "pos", pos)  # character offset into the source
+        object.__setattr__(self, "value", value)
 
 
 def _byte_offset(source: str, pos: int) -> int:

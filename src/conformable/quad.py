@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .core import (
@@ -29,6 +28,7 @@ from .core import (
 )
 from .errors import ConvergenceError, NonDifferentiableError, NonFiniteError
 from .expr import FuncSpec, evaluate_body
+from .record import Record
 
 __all__ = [
     "QuadConfig",
@@ -39,17 +39,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadConfig:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 2000
+class QuadConfig(Record):
+    __slots__ = _fields = ("abs_tol", "rel_tol", "max_subdivisions")
 
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
+    def __init__(
+        self,
+        abs_tol: float = 1e-10,
+        rel_tol: float = 1e-9,
+        max_subdivisions: int = 2000,
+    ):
+        if not (abs_tol > 0.0 and rel_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
+        if max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
+        object.__setattr__(self, "abs_tol", abs_tol)
+        object.__setattr__(self, "rel_tol", rel_tol)
+        object.__setattr__(self, "max_subdivisions", max_subdivisions)
 
 
 DEFAULT_QUAD_CONFIG = QuadConfig()

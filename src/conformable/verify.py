@@ -711,6 +711,9 @@ def _registry_hash() -> str:
 def _config_echo(config: HarnessConfig) -> dict:
     """The config as plain data, its tolerance fields grouped under "tolerances"."""
     echo = asdict(config)
+    # asdict recurses into dataclasses only; the records expand here.
+    echo["quad"] = config.quad.as_dict()
+    echo["schedule"] = config.schedule.as_dict()
     echo["tolerances"] = {k: echo.pop(k) for k in list(echo) if k.endswith("tol")}
     return echo
 

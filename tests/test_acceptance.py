@@ -264,10 +264,9 @@ def test_acceptance_6_terminal_case_split():
 # -- 7 & 8: verification harness --------------------------------------------
 
 @pytest.fixture(scope="module")
-def verify_json(tmp_path_factory, capsys_suspender=None):
-    path = tmp_path_factory.mktemp("verify") / "report.json"
-    code = main(["verify", "--json", str(path)])
-    return code, path.read_bytes()
+def verify_json(verify_run):
+    code, _, payload = verify_run
+    return code, payload
 
 
 def test_acceptance_7_checklist_matrix(verify_json, capsys):

@@ -141,11 +141,99 @@ def test_deriv_exit_code_is_total(entry, alpha, a, t, method, mode):
             f"--a={a}", f"--t={t}", "--method", method, "--mode", mode]
     if entry.jump is not None:
         argv.append(f"--jump={entry.jump}")
+    code, err = _quiet_main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err
+
+
+def _quiet_main(argv):
+    """The exit code and stderr text of one `main` call; stdout is dropped."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    return code, err.getvalue()
+
+
+# Fields of the integ and sweep totality properties: (valid values, edge
+# values).  Each example takes valid values for every field but at most one,
+# so that most examples run a whole operator.  The edge values are sources
+# that fail to parse, divide by zero or diverge at the terminal, orders and
+# tolerances outside their domains, non-finite numbers and step counts 0-3.
+# A float drawn for t, start or stop is an offset from a.
+_SOURCES = (
+    [e.template for e in REGISTRY] + ["cos(exp(t))", "t*sin(t)+exp(t)", "exp(exp(t))"],
+    ["1/t", "t^-1", "ln(t)", "sqrt(t)", "", "sin(", "foo(t)"],
+)
+_ORDERS = (["1e-300", "0.1", "0.5", "0.9", "1"], ["0", "-1", "2", "nan", "inf", "x"])
+_TERMINALS = (["0", "1", "-2", "199"], ["1e17", "-1e17", "1e300", "nan", "inf"])
+_TOLS = (["1e-14", "1e-10", "1e-3"], ["1e-300", "inf", "0", "-1", "nan"])
+_INTEG_FIELDS = {
+    "expr": _SOURCES,
+    "alpha": _ORDERS,
+    "a": _TERMINALS,
+    "t": ([1e-3, 1.0, 10.0], [0.0, -1.0, "nan", "inf", "1e300"]),
+    "abs-tol": _TOLS,
+    "rel-tol": _TOLS,
+    "max-subdivisions": (["50", "2000"], ["0", "1", "3", "-1", "2.5"]),
+    "jump": ([None], ["5", "inf"]),
+}
+_SWEEP_FIELDS = {
+    "alpha": {
+        "start": (["0.1", "0.25"], ["1e-300", "0", "-1", "nan"]),
+        "stop": (["0.5", "1"], ["0.1", "2", "inf"]),
+        "t": ([0.0, 1e-3, 1.0], [None, -1.0, "nan"]),
+    },
+    "t": {
+        "start": ([0.0, 1e-3, 1.0], [-1.0, "nan", "-inf"]),
+        "stop": ([2.0, 10.0], [0.0, "inf", "1e300"]),
+        "alpha": (["0.1", "0.5", "1"], [None, "0", "2", "nan"]),
+    },
+}
+_SWEEP_COMMON = {
+    "expr": _SOURCES,
+    "a": _TERMINALS,
+    "steps": (["2", "3"], ["0", "1", "-1", "x"]),
+    "op": (["deriv", "integ"], []),
+    "method": (["limit", "closed"], []),
+    "mode": (["original", "corrected"], []),
+}
+
+
+def _draw_argv(data, command, fields):
+    broken = data.draw(st.sampled_from([None] + [k for k, (_, edge) in fields.items() if edge]))
+    values = {
+        name: data.draw(st.sampled_from(edge if name == broken else good), label=name)
+        for name, (good, edge) in fields.items()
+    }
+    a = values["a"]
+    argv = [command]
+    for name, value in values.items():
+        if isinstance(value, float):
+            value = repr(float(a) + value)
+        if name == "expr":
+            argv += ["--expr", value.replace("{a}", a)]
+        elif value is not None:
+            # "--a=-2" form: argparse would read a bare "-2" as an option.
+            argv.append(f"--{name}={value}")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_integ_exit_code_is_total(data):
+    argv = _draw_argv(data, "integ", _INTEG_FIELDS)
+    code, err = _quiet_main(argv)
     assert code in (0, 1, 2, 3), argv
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), var=st.sampled_from(["alpha", "t"]))
+def test_sweep_exit_code_is_total(data, var):
+    argv = _draw_argv(data, "sweep", {**_SWEEP_COMMON, **_SWEEP_FIELDS[var]}) + [f"--var={var}"]
+    code, err = _quiet_main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("t", ["inf", "nan"])
@@ -332,12 +420,11 @@ def test_sweep_invalid_specs(capsys, args):
 # verify
 # --------------------------------------------------------------------------
 
-def test_verify_matches_and_writes_json(capsys, tmp_path):
-    path = tmp_path / "report.json"
-    code, out, _ = run(capsys, "verify", "--json", str(path))
+def test_verify_matches_and_writes_json(verify_run):
+    code, out, payload = verify_run
     assert code == 0
     assert "matches the expected matrix" in out
-    doc = json.loads(path.read_text())
+    doc = json.loads(payload)
     assert set(doc) == {"meta", "outcomes"}
     assert len(doc["outcomes"]) == 20
 
@@ -351,6 +438,48 @@ def test_verify_mode_filter(capsys):
 def test_verify_bad_json_path(capsys):
     code, _, err = run(capsys, "verify", "--mode", "corrected", "--json", "/nonexistent/x.json")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--mode", "neither"],
+        ["verify", "--json"],
+        ["verify", "--mode"],
+        ["verify", "extra"],
+        ["verify", "--bogus"],
+        ["verify", "--mode=both", "--mode"],
+    ],
+)
+def test_verify_bad_argv_is_a_usage_error(argv):
+    code, err = _quiet_main(argv)
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("matches", [True, False])
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["verify", "--mode", "original"],
+    ["verify", "--json", "/nonexistent/x.json"],
+])
+def test_verify_exit_code_is_total(monkeypatch, argv, matches):
+    import conformable.cli as cli_mod
+
+    class _Stub:
+        def to_json(self):
+            return "{}\n"
+
+        def to_text(self):
+            return "stub\n"
+
+        def matches_expected(self):
+            return matches
+
+    monkeypatch.setattr(cli_mod, "run_all", lambda modes: _Stub())
+    code, err = _quiet_main(argv)
+    assert code in (0, 1, 4)
+    assert "Traceback" not in err
 
 
 def test_verify_mismatch_exits_four(capsys, monkeypatch):
