@@ -12,8 +12,6 @@ from .core import (
     DEFAULT_SCHEDULE,
     EvalResult,
     LimitSchedule,
-    Order,
-    Terminal,
     TerminalMode,
     deriv_at_terminal,
     deriv_closed_form,
@@ -63,11 +61,9 @@ __all__ = [
     "Neg",
     "NonDifferentiableError",
     "NonFiniteError",
-    "Order",
     "ParseError",
     "PreconditionError",
     "QuadConfig",
-    "Terminal",
     "TerminalMode",
     "UnknownIdentifierError",
     "Var",

@@ -15,8 +15,8 @@ from typing import Sequence
 from .core import (
     DEFAULT_SCHEDULE,
     EvalResult,
-    Order,
     TerminalMode,
+    checked_order,
     deriv_at_terminal,
     deriv_closed_form,
     deriv_limit,
@@ -116,7 +116,7 @@ def _print_result(r: EvalResult) -> int:
 
 
 def _derivative(f: FuncSpec, alpha: float, a: float, t: float, mode: str, method: str) -> EvalResult:
-    Order(alpha)  # validate before branching so diagnostics are uniform
+    checked_order(alpha)  # validate before branching so diagnostics are uniform
     if t < a:
         raise PreconditionError("t must not lie below the lower terminal a")
     if t == a:
@@ -158,7 +158,7 @@ def _cmd_sweep(args) -> int:
     else:
         if args.alpha is None:
             raise _UsageError("t sweep requires a fixed --alpha")
-        Order(args.alpha)
+        checked_order(args.alpha)
         if args.op == "deriv" and args.start < args.a:
             raise _UsageError("t sweep must not start below the lower terminal a")
         if args.op == "integ" and args.start <= args.a:

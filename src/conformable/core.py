@@ -3,8 +3,8 @@
 Two interior routes are provided: `deriv_limit` drives the defining
 difference quotient (f(t + theta*(t-a)^(1-alpha)) - f(t)) / theta to its
 two-sided limit with Richardson extrapolation, and `deriv_closed_form`
-uses the equivalent closed form (t-a)^(1-alpha) * f'(t) with f' obtained
-from dual numbers.
+uses the equivalent closed form (t-a)^(1-alpha) * f'(t) with f' evaluated
+in forward mode, as (value, derivative) pairs.
 
 At the lower terminal t = a the two conventions differ:
 
@@ -29,10 +29,9 @@ from .record import Record
 __all__ = [
     "EvalResult",
     "LimitSchedule",
-    "Order",
-    "Terminal",
     "TerminalMode",
     "DEFAULT_SCHEDULE",
+    "checked_order",
     "deriv_at_terminal",
     "deriv_closed_form",
     "deriv_limit",
@@ -44,24 +43,6 @@ PointFunc = Callable[[float], float]
 Func = Union[FuncSpec, PointFunc]
 
 _EPS = sys.float_info.epsilon
-
-
-class Order(Record):
-    """Fractional order constrained to (0, 1]."""
-
-    __slots__ = _fields = ("alpha",)
-
-    def __init__(self, alpha: float):
-        object.__setattr__(self, "alpha", _checked_order(alpha))
-
-
-class Terminal(Record):
-    """Lower terminal of the operator."""
-
-    __slots__ = _fields = ("a",)
-
-    def __init__(self, a: float):
-        object.__setattr__(self, "a", _checked_terminal(a))
 
 
 class TerminalMode(Enum):
@@ -80,31 +61,23 @@ class LimitSchedule(Record):
     used.  An explicit ``theta0`` is used as given.
     """
 
-    __slots__ = _fields = ("theta0", "shrink", "levels", "cauchy_tol", "divergence_cap")
+    theta0: float | None = None
+    shrink: float = 0.5
+    levels: int = 12
+    cauchy_tol: float = 1e-8
+    divergence_cap: float = 1e12
 
-    def __init__(
-        self,
-        theta0: float | None = None,
-        shrink: float = 0.5,
-        levels: int = 12,
-        cauchy_tol: float = 1e-8,
-        divergence_cap: float = 1e12,
-    ):
-        if theta0 is not None and not theta0 > 0.0:
+    def _check(self):
+        if self.theta0 is not None and not self.theta0 > 0.0:
             raise ValueError("theta0 must be positive")
-        if not 0.0 < shrink < 1.0:
+        if not 0.0 < self.shrink < 1.0:
             raise ValueError("shrink must lie in (0,1)")
-        if levels < 3:
+        if self.levels < 3:
             raise ValueError("levels must be at least 3")
-        if not cauchy_tol > 0.0:
+        if not self.cauchy_tol > 0.0:
             raise ValueError("cauchy_tol must be positive")
-        if not divergence_cap > 0.0:
+        if not self.divergence_cap > 0.0:
             raise ValueError("divergence_cap must be positive")
-        object.__setattr__(self, "theta0", theta0)
-        object.__setattr__(self, "shrink", shrink)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "cauchy_tol", cauchy_tol)
-        object.__setattr__(self, "divergence_cap", divergence_cap)
 
 
 DEFAULT_SCHEDULE = LimitSchedule()
@@ -116,21 +89,16 @@ _TERMINAL_OFFSET = 1e-2
 class EvalResult(Record):
     """Value-or-nonexistence outcome of an operator evaluation."""
 
-    __slots__ = _fields = ("value", "err_estimate", "reason")
+    value: float | None = None
+    err_estimate: float | None = None
+    reason: str | None = None
 
-    def __init__(
-        self,
-        value: float | None = None,
-        err_estimate: float | None = None,
-        reason: str | None = None,
-    ):
-        if (value is None) == (reason is None):
+    def _check(self):
+        value, err = self.value, self.err_estimate
+        if (value is None) == (self.reason is None):
             raise ValueError("exactly one of value and reason must be set")
-        if value is not None and not (err_estimate is not None and err_estimate >= 0.0):
+        if value is not None and not (err is not None and err >= 0.0):
             raise ValueError("a value requires a non-negative err_estimate")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "err_estimate", err_estimate)
-        object.__setattr__(self, "reason", reason)
 
     @property
     def exists(self) -> bool:
@@ -145,7 +113,7 @@ class EvalResult(Record):
         return cls(reason=reason)
 
 
-def _checked_order(alpha: float) -> float:
+def checked_order(alpha: float) -> float:
     """The one rule for an order: a number in (0, 1], returned as a float."""
     if not (isinstance(alpha, (int, float)) and 0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0,1]")
@@ -160,32 +128,20 @@ def _checked_terminal(a: float) -> float:
 
 
 def _checked_point(t: float, av: float) -> float:
-    """The one rule for an interior point: a finite number strictly above a."""
+    """The one rule for an interior point: finite, strictly above a, with t - a finite."""
     if not math.isfinite(t):
         raise PreconditionError(f"t must be finite, got {t!r}")
     if not t > av:
         raise PreconditionError("t must lie strictly above the lower terminal a")
+    if not math.isfinite(t - av):
+        raise PreconditionError(f"t - a must be finite, got {t - av!r}")
     return float(t)
 
 
-def _order_value(alpha: Order | float) -> float:
-    if isinstance(alpha, Order):
-        return alpha.alpha
-    return _checked_order(alpha)
-
-
-def _terminal_value(a: Terminal | float) -> float:
-    if isinstance(a, Terminal):
-        return a.a
-    return _checked_terminal(a)
-
-
-def checked_interior(
-    alpha: Order | float, a: Terminal | float, t: float
-) -> tuple[float, float, float]:
+def checked_interior(alpha: float, a: float, t: float) -> tuple[float, float, float]:
     """(alpha, a, t) as floats, checked for an operator at an interior point t."""
-    al = _order_value(alpha)
-    av = _terminal_value(a)
+    al = checked_order(alpha)
+    av = _checked_terminal(a)
     return al, av, _checked_point(t, av)
 
 
@@ -336,13 +292,13 @@ def _usable_ratios(diffs: Sequence[float], tiny: float) -> list[float]:
 
 def deriv_closed_form(
     f: FuncSpec,
-    alpha: Order | float,
-    a: Terminal | float,
+    alpha: float,
+    a: float,
     t: float,
 ) -> EvalResult:
     """(t-a)^(1-alpha) * f'(t) with f' in forward mode; interior t only."""
-    al = _order_value(alpha)
-    av = _terminal_value(a)
+    al = checked_order(alpha)
+    av = _checked_terminal(a)
     try:
         value = _closed_value(f, al, av, t)
     except NonDifferentiableError as exc:
@@ -364,8 +320,8 @@ def _closed_value(f: FuncSpec, al: float, av: float, t: float) -> float:
 
 def deriv_limit(
     f: Func,
-    alpha: Order | float,
-    a: Terminal | float,
+    alpha: float,
+    a: float,
     t: float,
     sched: LimitSchedule = DEFAULT_SCHEDULE,
 ) -> EvalResult:
@@ -422,8 +378,8 @@ def deriv_limit(
 
 def deriv_at_terminal(
     f: FuncSpec,
-    alpha: Order | float,
-    a: Terminal | float,
+    alpha: float,
+    a: float,
     mode: TerminalMode,
     sched: LimitSchedule = DEFAULT_SCHEDULE,
 ) -> EvalResult:
@@ -435,8 +391,8 @@ def deriv_at_terminal(
     (f(a+h) - f(a)) / h, jump decoration included; when that limit exists
     the result is f'(a) for alpha = 1 and 0 for alpha < 1.
     """
-    al = _order_value(alpha)
-    av = _terminal_value(a)
+    al = checked_order(alpha)
+    av = _checked_terminal(a)
     if mode is TerminalMode.ORIGINAL:
         try:
             val, err, why = right_limit(lambda h: _closed_value(f, al, av, av + h), sched)
@@ -462,13 +418,13 @@ def deriv_at_terminal(
 
 def order_convert(
     value: float,
-    alpha: Order | float,
-    beta: Order | float,
-    a: Terminal | float,
+    alpha: float,
+    beta: float,
+    a: float,
     t: float,
 ) -> float:
     """Convert a derivative of order beta at interior t into one of order alpha."""
-    al = _order_value(alpha)
-    be = _order_value(beta)
+    al = checked_order(alpha)
+    be = checked_order(beta)
     _, av, t = checked_interior(al, a, t)
     return positive_power(t - av, be - al) * value

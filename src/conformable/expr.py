@@ -71,40 +71,26 @@ CODE_MEMO_SIZE = 1024
 # --------------------------------------------------------------------------
 
 class Const(Record):
-    __slots__ = _fields = ("value",)
-
-    def __init__(self, value: float):
-        object.__setattr__(self, "value", value)
+    value: float
 
 
 class Var(Record):
     """The free variable t."""
 
-    __slots__ = ()
-
 
 class Neg(Record):
-    __slots__ = _fields = ("operand",)
-
-    def __init__(self, operand: "Expr"):
-        object.__setattr__(self, "operand", operand)
+    operand: Expr
 
 
 class BinOp(Record):
-    __slots__ = _fields = ("op", "left", "right")
-
-    def __init__(self, op: str, left: "Expr", right: "Expr"):
-        object.__setattr__(self, "op", op)  # one of + - * / ^
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+    op: str  # one of + - * / ^
+    left: Expr
+    right: Expr
 
 
 class Call(Record):
-    __slots__ = _fields = ("func", "arg")
-
-    def __init__(self, func: str, arg: "Expr"):
-        object.__setattr__(self, "func", func)
-        object.__setattr__(self, "arg", arg)
+    func: str
+    arg: Expr
 
 
 Expr = Union[Const, Var, Neg, BinOp, Call]
@@ -120,14 +106,9 @@ class FuncSpec(Record):
     Equality, hashing and the repr use the body and the jump only.
     """
 
-    __slots__ = ("body", "jump_at_terminal", "_float_code", "_pair_code")
-    _fields = ("body", "jump_at_terminal")
-
-    def __init__(self, body: Expr, jump_at_terminal: float | None = None):
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "jump_at_terminal", jump_at_terminal)
-        object.__setattr__(self, "_float_code", None)
-        object.__setattr__(self, "_pair_code", None)
+    __slots__ = ("_float_code", "_pair_code")
+    body: Expr
+    jump_at_terminal: float | None = None
 
     @classmethod
     def from_source(cls, source: str, jump_at_terminal: float | None = None) -> "FuncSpec":
@@ -145,17 +126,9 @@ class FunctionDef(Record):
     `_PAIR_RULES`.
     """
 
-    __slots__ = _fields = ("name", "real", "deriv")
-
-    def __init__(
-        self,
-        name: str,
-        real: Callable[[float], float],
-        deriv: Callable[[float], float] | None = None,
-    ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "real", real)
-        object.__setattr__(self, "deriv", deriv)
+    name: str
+    real: Callable[[float], float]
+    deriv: Callable[[float], float] | None = None
 
 
 def _ln_domain(x: float):
@@ -190,8 +163,6 @@ FUNCTIONS: dict[str, FunctionDef] = {
     )
 }
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
 
 def register_function(
     name: str,
@@ -205,7 +176,7 @@ def register_function(
     must be pure: compiled code evaluates a subexpression that occurs twice
     in a body only once.
     """
-    if not _IDENT_RE.match(name):
+    if not (name.isascii() and name.isidentifier()):
         raise ValueError(f"not a valid function name: {name!r}")
     if name in ("t", "pow") or name in FUNCTIONS:
         raise ValueError(f"function name already taken: {name!r}")
@@ -223,13 +194,10 @@ _ATOM_EXPECTED = frozenset({"a number", "'t'", "a function name", "'('", "'-'"})
 
 
 class _Token(Record):
-    __slots__ = _fields = ("kind", "text", "pos", "value")
-
-    def __init__(self, kind: str, text: str, pos: int, value: float = 0.0):
-        object.__setattr__(self, "kind", kind)  # "number" | "ident" | "op" | "end"
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "pos", pos)  # character offset into the source
-        object.__setattr__(self, "value", value)
+    kind: str  # "number" | "ident" | "op" | "end"
+    text: str
+    pos: int  # character offset into the source
+    value: float = 0.0
 
 
 def _byte_offset(source: str, pos: int) -> int:

@@ -18,8 +18,6 @@ from .core import (
     DEFAULT_SCHEDULE,
     EvalResult,
     LimitSchedule,
-    Order,
-    Terminal,
     checked_interior,
     deriv_closed_form,
     deriv_limit,
@@ -40,21 +38,15 @@ __all__ = [
 
 
 class QuadConfig(Record):
-    __slots__ = _fields = ("abs_tol", "rel_tol", "max_subdivisions")
+    abs_tol: float = 1e-10
+    rel_tol: float = 1e-9
+    max_subdivisions: int = 2000
 
-    def __init__(
-        self,
-        abs_tol: float = 1e-10,
-        rel_tol: float = 1e-9,
-        max_subdivisions: int = 2000,
-    ):
-        if not (abs_tol > 0.0 and rel_tol > 0.0):
+    def _check(self):
+        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if max_subdivisions < 1:
+        if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
-        object.__setattr__(self, "abs_tol", abs_tol)
-        object.__setattr__(self, "rel_tol", rel_tol)
-        object.__setattr__(self, "max_subdivisions", max_subdivisions)
 
 
 DEFAULT_QUAD_CONFIG = QuadConfig()
@@ -150,8 +142,8 @@ def _adaptive_quad(
 
 def integral(
     f: FuncSpec,
-    alpha: Order | float,
-    a: Terminal | float,
+    alpha: float,
+    a: float,
     t: float,
     cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
 ) -> EvalResult:
@@ -174,8 +166,8 @@ def integral(
 
 def deriv_of_integral(
     f: FuncSpec,
-    alpha: Order | float,
-    a: Terminal | float,
+    alpha: float,
+    a: float,
     t: float,
     cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
     sched: LimitSchedule = DEFAULT_SCHEDULE,
@@ -210,8 +202,8 @@ def deriv_of_integral(
 
 def integral_of_deriv(
     f: FuncSpec,
-    alpha: Order | float,
-    a: Terminal | float,
+    alpha: float,
+    a: float,
     t: float,
     cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
 ) -> EvalResult:

@@ -1,9 +1,11 @@
 """Frozen records: the package's immutable value types.
 
-A record is a ``__slots__`` class whose instances compare, hash and print
-by their field values.  Records stand in for frozen dataclasses, whose
-module import and per-class processing took most of the time of importing
-the package.
+A record class lists its fields as annotated class attributes, in order,
+each with an optional default.  Where it needs them it adds a
+``_check(self)`` validator, run once the fields are set, and a
+``__slots__`` tuple of slots that are not fields, such as caches, which
+start as None.  The base derives ``__slots__``, ``_fields``, ``__init__``,
+``__eq__`` and ``__hash__`` from that declaration.
 """
 
 from __future__ import annotations
@@ -11,43 +13,76 @@ from __future__ import annotations
 __all__ = ["Record"]
 
 
-class Record:
-    """Base of an immutable value type.
-
-    A subclass names its fields, in order, in ``_fields`` and lists them in
-    ``__slots__`` (with any slots that are not fields, such as caches), and
-    its ``__init__`` sets each slot with ``object.__setattr__``.  Instances
-    compare equal when they are of the same class and their field tuples are
-    equal, hash as their field tuple, print as ``Name(field=value, ...)``
-    and refuse assignment.  They pickle and copy by their fields, which
-    `dataclasses.asdict` needs for a record held in a dataclass.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # Equality and hashing read the fields inline, as dataclasses do.
-        # The first evaluation of every new FuncSpec hashes its body for the
-        # code memo, and a loop over ``_fields`` hashed a tree four times
-        # more slowly.
-        mine = "".join(f"self.{name}, " for name in cls._fields)
-        theirs = "".join(f"other.{name}, " for name in cls._fields)
-        namespace: dict = {}
-        exec(
+def _build(cls: type, method: str):
+    """Compile `method` for record class `cls` and install it on the class."""
+    fields = cls._fields
+    # Equality and hashing read the fields inline: the first evaluation of
+    # every new FuncSpec hashes its body for the code memo, and a loop over
+    # ``_fields`` hashed a tree four times more slowly.
+    mine = "".join(f"self.{name}, " for name in fields)
+    if method == "__init__":
+        params = "".join(
+            f", {name}=_defaults[{name!r}]" if name in cls._defaults else f", {name}"
+            for name in fields
+        )
+        # Each slot is set through its own descriptor, which is faster than
+        # object.__setattr__.
+        lines = [f"_set_{name}(self, {name})" for name in fields]
+        lines += [f"_set_{name}(self, None)" for name in cls.__slots__[len(fields):]]
+        if hasattr(cls, "_check"):
+            lines.append("_check(self)")
+        source = f"def __init__(self{params}):\n" + "".join(
+            f"    {line}\n" for line in lines or ["pass"]
+        )
+    elif method == "__eq__":
+        theirs = "".join(f"other.{name}, " for name in fields)
+        source = (
             "def __eq__(self, other):\n"
             "    if other.__class__ is self.__class__:\n"
             f"        return ({mine}) == ({theirs})\n"
             "    return NotImplemented\n"
-            "def __hash__(self):\n"
-            f"    return hash(({mine}))\n",
-            {},
-            namespace,
         )
-        cls.__eq__ = namespace["__eq__"]
-        cls.__hash__ = namespace["__hash__"]
-        cls.__match_args__ = cls._fields
+    else:
+        source = f"def __hash__(self):\n    return hash(({mine}))\n"
+    namespace = {f"_set_{name}": cls.__dict__[name].__set__ for name in cls.__slots__}
+    namespace.update(_defaults=cls._defaults, _check=getattr(cls, "_check", None))
+    exec(source, namespace)
+    setattr(cls, method, namespace[method])
+    return namespace[method]
+
+
+def _stub(method: str):
+    def stub(self, *args, **kwargs):
+        return _build(type(self), method)(self, *args, **kwargs)
+
+    return stub
+
+
+class _Declared(type):
+    """Metaclass of `Record`: reads the declaration of a record class."""
+
+    def __new__(mcls, name, bases, namespace):
+        fields = tuple(namespace.get("__annotations__", ()))
+        namespace["_defaults"] = {f: namespace.pop(f) for f in fields if f in namespace}
+        namespace["_fields"] = fields
+        namespace["__slots__"] = fields + tuple(namespace.get("__slots__", ()))
+        # Each generated method is compiled on its first call for the class,
+        # so a class pays only for what it uses: compiling them all at class
+        # creation made the package import a tenth slower.
+        for method in ("__init__", "__eq__", "__hash__"):
+            namespace.setdefault(method, _stub(method))
+        return super().__new__(mcls, name, bases, namespace)
+
+
+class Record(metaclass=_Declared):
+    """Base of an immutable value type.
+
+    A subclass derives from Record directly and declares its fields as
+    above.  Instances compare equal when they are of the same class and
+    their field tuples are equal, hash as their field tuple, print as
+    ``Name(field=value, ...)`` and refuse assignment and deletion.  They
+    pickle and copy by their fields.
+    """
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

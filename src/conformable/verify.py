@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .core import (
@@ -29,6 +28,7 @@ from .core import (
 )
 from .expr import BinOp, Const, FuncSpec, evaluate, evaluate_body, parse
 from .quad import DEFAULT_QUAD_CONFIG, QuadConfig, deriv_of_integral, integral_of_deriv
+from .record import Record
 
 __all__ = [
     "CheckOutcome",
@@ -51,8 +51,7 @@ __all__ = [
 # Function registry
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class RegistryEntry(Record):
     """One test function, instantiated per lower terminal a.
 
     ``template`` contains ``{a}``, replaced by the literal terminal value.
@@ -110,8 +109,7 @@ def registry_for(a: float) -> dict[str, FuncSpec]:
 # Configuration and report types
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HarnessConfig:
+class HarnessConfig(Record):
     alphas: tuple[float, ...] = (0.1, 0.25, 0.4, 0.5, 0.75, 0.9, 1.0)
     t_offsets: tuple[float, ...] = (1e-3, 0.1, 1.0, 4.0)
     terminals: tuple[float, ...] = (0.0, 1.0, -2.0)
@@ -135,8 +133,7 @@ class HarnessConfig:
 DEFAULT_CONFIG = HarnessConfig()
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     function: str
     alpha: float | None
     beta: float | None
@@ -145,12 +142,8 @@ class Witness:
     expected: float | str
     tolerance: float | None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(Record):
     check_id: str
     mode: TerminalMode
     status: str  # "pass" | "fail" | "skipped"
@@ -160,8 +153,9 @@ class CheckOutcome:
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        out = asdict(self)
+        out = self.as_dict()
         out["mode"] = self.mode.value
+        out["witnesses"] = [w.as_dict() for w in self.witnesses]
         # The optional fields appear only when set.
         for key in ("worst_residual", "reason", "notes"):
             if out[key] is None or out[key] == ():
@@ -700,7 +694,7 @@ for _check in CHECKLIST_IDS[1:]:
 def _registry_hash() -> str:
     entries = []
     for e in REGISTRY:
-        entry = asdict(e)
+        entry = e.as_dict()
         del entry["template"]
         entry["sources"] = [e.source(a) for a in DEFAULT_CONFIG.terminals]
         entries.append(entry)
@@ -710,16 +704,14 @@ def _registry_hash() -> str:
 
 def _config_echo(config: HarnessConfig) -> dict:
     """The config as plain data, its tolerance fields grouped under "tolerances"."""
-    echo = asdict(config)
-    # asdict recurses into dataclasses only; the records expand here.
+    echo = config.as_dict()
     echo["quad"] = config.quad.as_dict()
     echo["schedule"] = config.schedule.as_dict()
     echo["tolerances"] = {k: echo.pop(k) for k in list(echo) if k.endswith("tol")}
     return echo
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     outcomes: tuple[CheckOutcome, ...]
     registry_hash: str
     config: dict

@@ -7,6 +7,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import conformable.cli as cli_mod
 from conformable.cli import main
 from conformable.expr import MAX_DEPTH
 from conformable.verify import REGISTRY, RegistryEntry
@@ -255,6 +256,16 @@ def test_non_finite_t_is_a_usage_error(capsys, argv, t):
     assert out == ""
 
 
+@pytest.mark.parametrize("expr", ["1", "t"])
+def test_overflowing_span_is_a_usage_error(capsys, expr):
+    code, out, err = run(
+        capsys, "deriv", "--expr", expr, "--alpha", "0.5", "--a=-1e308", "--t", "1e308"
+    )
+    assert code == 1
+    assert err == "error: t - a must be finite, got inf\n"
+    assert out == ""
+
+
 def test_t_sweep_to_inf_is_a_usage_error(capsys):
     code, out, err = run(
         capsys, "sweep", "--var", "t", "--start", "1", "--stop", "inf", "--steps", "3",
@@ -435,7 +446,24 @@ def test_verify_mode_filter(capsys):
     assert "corrected" in out and "original" not in out
 
 
-def test_verify_bad_json_path(capsys):
+class _Stub:
+    """Stands in for a verification report whose verdict is `matches`."""
+
+    def __init__(self, matches=True):
+        self.matches = matches
+
+    def to_json(self):
+        return "{}\n"
+
+    def to_text(self):
+        return "stub\n"
+
+    def matches_expected(self):
+        return self.matches
+
+
+def test_verify_bad_json_path(capsys, monkeypatch):
+    monkeypatch.setattr(cli_mod, "run_all", lambda modes: _Stub())
     code, _, err = run(capsys, "verify", "--mode", "corrected", "--json", "/nonexistent/x.json")
     assert code == 1
 
@@ -464,34 +492,13 @@ def test_verify_bad_argv_is_a_usage_error(argv):
     ["verify", "--json", "/nonexistent/x.json"],
 ])
 def test_verify_exit_code_is_total(monkeypatch, argv, matches):
-    import conformable.cli as cli_mod
-
-    class _Stub:
-        def to_json(self):
-            return "{}\n"
-
-        def to_text(self):
-            return "stub\n"
-
-        def matches_expected(self):
-            return matches
-
-    monkeypatch.setattr(cli_mod, "run_all", lambda modes: _Stub())
+    monkeypatch.setattr(cli_mod, "run_all", lambda modes: _Stub(matches))
     code, err = _quiet_main(argv)
     assert code in (0, 1, 4)
     assert "Traceback" not in err
 
 
 def test_verify_mismatch_exits_four(capsys, monkeypatch):
-    import conformable.cli as cli_mod
-
-    class _Stub:
-        def to_text(self):
-            return "stub\n"
-
-        def matches_expected(self):
-            return False
-
-    monkeypatch.setattr(cli_mod, "run_all", lambda modes: _Stub())
+    monkeypatch.setattr(cli_mod, "run_all", lambda modes: _Stub(False))
     code, out, _ = run(capsys, "verify", "--mode", "corrected")
     assert code == 4

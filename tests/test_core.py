@@ -9,8 +9,6 @@ from conformable import (
     EvalResult,
     FuncSpec,
     LimitSchedule,
-    Order,
-    Terminal,
     TerminalMode,
     deriv_at_terminal,
     deriv_closed_form,
@@ -20,6 +18,7 @@ from conformable import (
     right_limit,
 )
 from conformable import core
+from conformable.core import checked_order
 from conformable.errors import DomainError, PreconditionError
 
 F = FuncSpec.from_source
@@ -40,21 +39,23 @@ SMOOTH = [
 # domain types
 # --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("bad", [0.0, -0.5, 1.0 + 1e-9, 2.0, math.inf, math.nan])
+@pytest.mark.parametrize(
+    "bad", [0.0, -0.5, 1.0 + 1e-9, 2.0, math.inf, math.nan, -math.inf, False, "0.5", None]
+)
 def test_order_rejects_out_of_range(bad):
-    with pytest.raises(ValueError):
-        Order(bad)
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0,1\]"):
+        checked_order(bad)
 
 
 def test_order_accepts_boundary():
-    assert Order(1.0).alpha == 1.0
-    assert Order(1e-9).alpha == 1e-9
+    assert checked_order(1.0) == 1.0
+    assert checked_order(1e-9) == 1e-9
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "0", None])
 def test_terminal_rejects_non_finite(bad):
-    with pytest.raises(ValueError):
-        Terminal(bad)
+    with pytest.raises(ValueError, match="lower terminal a must be finite"):
+        core._checked_terminal(bad)
 
 
 def test_limit_schedule_validation():
@@ -118,6 +119,21 @@ def test_closed_form_requires_interior_point():
 def test_interior_operators_reject_non_finite_t(operator, t):
     with pytest.raises(PreconditionError, match=f"t must be finite, got {t!r}"):
         operator(t)
+
+
+@pytest.mark.parametrize(
+    "operator",
+    [
+        lambda: deriv_closed_form(F("1"), 0.5, -1e308, 1e308),
+        lambda: deriv_closed_form(F("t"), 0.5, -1e308, 1e308),
+        lambda: deriv_limit(F("t"), 0.5, -1e308, 1e308),
+        lambda: order_convert(1.0, 0.5, 0.9, -1e308, 1e308),
+    ],
+    ids=["closed-const", "closed-identity", "limit", "order_convert"],
+)
+def test_interior_operators_reject_an_overflowing_span(operator):
+    with pytest.raises(PreconditionError, match="t - a must be finite, got inf"):
+        operator()
 
 
 def test_closed_form_propagates_domain_error():
@@ -322,39 +338,13 @@ def test_neville_best_ties_and_nan_keep_reference_choice():
 # argument checks
 # --------------------------------------------------------------------------
 
-_ARGUMENT = st.one_of(
-    st.booleans(),
-    st.integers(),
-    st.floats(),
-    st.floats(min_value=0.0, max_value=1.0),
-    st.sampled_from([math.nan, math.inf, -math.inf, 1.0, 0.0, -0.0, 5e-324, 10**400]),
-    st.text(max_size=3),
-    st.none(),
-)
-
-
-def _checked(fn, x):
-    try:
-        v = fn(x)
-    except Exception as exc:  # compared by type and message
-        return "raised", type(exc), str(exc)
-    return "ok", type(v), struct.pack("<d", v)
-
-
-@settings(max_examples=400)
-@given(_ARGUMENT)
-def test_fast_checks_agree_with_public_classes(x):
-    assert _checked(lambda v: Order(v).alpha, x) == _checked(core._order_value, x)
-    assert _checked(lambda v: Terminal(v).a, x) == _checked(core._terminal_value, x)
-
-
 def test_fast_checks_pass_instances_through():
-    assert core._order_value(Order(0.25)) == 0.25
-    assert core._terminal_value(Terminal(-2)) == -2.0
+    assert checked_order(1) == 1.0 and type(checked_order(1)) is float
+    assert core._checked_terminal(-2) == -2.0 and type(core._checked_terminal(-2)) is float
     with pytest.raises(ValueError, match=r"alpha must lie in \(0,1\]"):
-        core._order_value(math.nan)
+        checked_order(math.nan)
     with pytest.raises(ValueError, match="lower terminal a must be finite"):
-        core._terminal_value("0")
+        core._checked_terminal("0")
 
 
 # --------------------------------------------------------------------------

@@ -598,6 +598,31 @@ def test_equal_bodies_share_compiled_code():
     assert plain._pair_code is jumped._pair_code
 
 
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("", "not a valid function name"),
+        ("2f", "not a valid function name"),
+        ("a-b", "not a valid function name"),
+        ("\u00e9", "not a valid function name"),
+        ("f\n", "not a valid function name"),
+        ("_f2", None),
+        ("t", "function name already taken"),
+        ("pow", "function name already taken"),
+        ("sin", "function name already taken"),
+    ],
+)
+def test_register_function_checks_the_name(registry, name, message):
+    if message is None:
+        register_function(name, _cube, _dcube)
+        assert evaluate_body(FuncSpec.from_source(f"{name}(t)"), 2.0) == 8.0
+        return
+    before = dict(expr.FUNCTIONS)
+    with pytest.raises(ValueError, match=f"^{message}: {re.escape(repr(name))}$"):
+        register_function(name, _cube, _dcube)
+    assert expr.FUNCTIONS == before
+
+
 def test_registered_name_does_not_clash_with_negation(registry):
     register_function("neg", _cube, _dcube)
     node = parse("neg(t) - -t + neg(-t)")

@@ -262,6 +262,12 @@ def test_quad_operators_reject_non_finite_t(operator, t):
         operator(F("sin(t)"), 0.5, 0.0, t)
 
 
+@pytest.mark.parametrize("operator", [integral, deriv_of_integral, integral_of_deriv])
+def test_quad_operators_reject_an_overflowing_span(operator):
+    with pytest.raises(PreconditionError, match="t - a must be finite, got inf"):
+        operator(F("1"), 0.5, -1e308, 1e308)
+
+
 def test_compositions_require_interior_point():
     with pytest.raises(PreconditionError):
         deriv_of_integral(F("1"), 0.5, 0.0, 0.0)

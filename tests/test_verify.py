@@ -19,8 +19,8 @@ CORRECTED = TerminalMode.CORRECTED
 
 
 @pytest.fixture(scope="module")
-def report():
-    return run_all()
+def report(default_report):
+    return default_report
 
 
 def test_registry_instantiation():
