@@ -43,6 +43,7 @@ PointFunc = Callable[[float], float]
 Func = Union[FuncSpec, PointFunc]
 
 _EPS = sys.float_info.epsilon
+_MAX = sys.float_info.max
 
 
 class TerminalMode(Enum):
@@ -122,14 +123,14 @@ def checked_order(alpha: float) -> float:
 
 def _checked_terminal(a: float) -> float:
     """The one rule for a lower terminal: a finite number, returned as a float."""
-    if not (isinstance(a, (int, float)) and math.isfinite(a)):
+    if not (isinstance(a, (int, float)) and -_MAX <= a <= _MAX):
         raise ValueError("lower terminal a must be finite")
     return float(a)
 
 
 def _checked_point(t: float, av: float) -> float:
     """The one rule for an interior point: finite, strictly above a, with t - a finite."""
-    if not math.isfinite(t):
+    if not -_MAX <= t <= _MAX:
         raise PreconditionError(f"t must be finite, got {t!r}")
     if not t > av:
         raise PreconditionError("t must lie strictly above the lower terminal a")

@@ -177,13 +177,10 @@ def deriv_of_integral(
     For f continuous on [a, t] the result reproduces f(t).
     """
     al, av, t = checked_interior(alpha, a, t)
-    # Split the integral at a fixed point below every probe abscissa.  The
-    # singular head is computed once and cancels exactly in the difference
-    # quotients; only the smooth tail varies with the probe point, and its
-    # tolerances sit well below the limit schedule's Cauchy threshold so
-    # quadrature jitter cannot masquerade as a non-existent limit.
-    head_point = av + 0.25 * (t - av)
-    head = integral(f, al, av, head_point, cfg).value
+    # I(t) is computed only so that a divergent or undefined integral raises.
+    # Each probe integrates over [t, x] alone, so nothing large cancels, and to
+    # tolerances far below the Cauchy threshold: jitter never reads as a missing limit.
+    integral(f, al, av, t, cfg)
     inner = QuadConfig(
         abs_tol=min(cfg.abs_tol, 1e-13),
         rel_tol=min(cfg.rel_tol, 1e-13),
@@ -194,8 +191,9 @@ def deriv_of_integral(
         return positive_power(s - av, al - 1.0) * evaluate_body(f, s)
 
     def g(x: float) -> float:
-        tail, _ = _adaptive_quad(weighted, head_point, x, inner)
-        return head + tail
+        if x < t:
+            return -_adaptive_quad(weighted, x, t, inner)[0]
+        return _adaptive_quad(weighted, t, x, inner)[0]
 
     return deriv_limit(g, al, av, t, sched)
 

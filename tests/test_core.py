@@ -52,7 +52,18 @@ def test_order_accepts_boundary():
     assert checked_order(1e-9) == 1e-9
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "0", None])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        math.inf,
+        -math.inf,
+        math.nan,
+        "0",
+        None,
+        pytest.param(10**400, id="1e400"),
+        pytest.param(-(10**400), id="-1e400"),
+    ],
+)
 def test_terminal_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="lower terminal a must be finite"):
         core._checked_terminal(bad)
@@ -106,7 +117,7 @@ def test_closed_form_requires_interior_point():
         deriv_closed_form(F("t"), 0.5, 0.0, -1.0)
 
 
-@pytest.mark.parametrize("t", [math.inf, math.nan])
+@pytest.mark.parametrize("t", [math.inf, math.nan, pytest.param(10**400, id="1e400")])
 @pytest.mark.parametrize(
     "operator",
     [

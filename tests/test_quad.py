@@ -14,7 +14,7 @@ from conformable import (
     integral_of_deriv,
 )
 from conformable import quad
-from conformable.errors import ConvergenceError, PreconditionError
+from conformable.errors import ConvergenceError, NonFiniteError, PreconditionError
 from conformable.quad import QuadConfig
 
 F = FuncSpec.from_source
@@ -116,12 +116,9 @@ def test_gk15_rules_are_exact_on_even_monomials():
             assert abs(gauss - exact) <= Fraction(2e-15) * exact
 
 
-@pytest.mark.parametrize(
-    "source, alpha, calls", [("t^0.4", 0.5, 11), ("exp(t)", 0.8, 7)]
-)
-def test_singular_end_is_split_at_a_quarter(monkeypatch, source, alpha, calls):
-    # u = s^alpha leaves f(u^(1/alpha)) non-smooth at u = 0; halving needed
-    # 19 and 13 panels here
+@pytest.fixture
+def gk15_panels(monkeypatch):
+    """The (lo, hi) of every GK15 panel the test evaluates, in order."""
     panels = []
     gk15 = quad._gk15
 
@@ -130,9 +127,18 @@ def test_singular_end_is_split_at_a_quarter(monkeypatch, source, alpha, calls):
         return gk15(fn, lo, hi)
 
     monkeypatch.setattr(quad, "_gk15", counting)
+    return panels
+
+
+@pytest.mark.parametrize(
+    "source, alpha, calls", [("t^0.4", 0.5, 11), ("exp(t)", 0.8, 7)]
+)
+def test_singular_end_is_split_at_a_quarter(gk15_panels, source, alpha, calls):
+    # u = s^alpha leaves f(u^(1/alpha)) non-smooth at u = 0; halving needed
+    # 19 and 13 panels here
     r = integral(F(source), alpha, 0.0, 1.0)
-    assert len(panels) == calls
-    assert panels[:3] == [(0.0, 1.0), (0.0, 0.25), (0.25, 1.0)]
+    assert len(gk15_panels) == calls
+    assert gk15_panels[:3] == [(0.0, 1.0), (0.0, 0.25), (0.25, 1.0)]
     assert r.exists
 
 
@@ -167,6 +173,21 @@ def test_integral_of_power_within_tolerance_and_bound(alpha, gamma, span):
 def test_left_inverse_cosine():
     r = deriv_of_integral(F("cos(t)"), 0.5, 0.0, 2.0)
     assert r.value == pytest.approx(math.cos(2.0), abs=1e-6)
+
+
+def test_left_inverse_probes_integrate_from_t_only(gk15_panels):
+    # one integral to t for the existence check, then about one short panel
+    # per probe; integrating each of the 25 probes from near a takes 176
+    r = deriv_of_integral(F("cos(t)"), 0.5, 0.0, 2.0)
+    assert len(gk15_panels) <= 40
+    assert r.value == pytest.approx(math.cos(2.0), abs=1e-6)
+
+
+@pytest.mark.parametrize("source, alpha", [("t^-1", 0.5), ("t^-2", 0.9)])
+def test_left_inverse_of_a_divergent_integral_raises(source, alpha):
+    # I(t) diverges at a = 0 although every probe span [t, x] is finite
+    with pytest.raises((ConvergenceError, NonFiniteError)):
+        deriv_of_integral(F(source), alpha, 0.0, 1.0)
 
 
 def test_left_inverse_constant():
@@ -255,7 +276,7 @@ def test_right_inverse_grid(alpha, a):
             assert abs(r.value - expected) <= 1e-6
 
 
-@pytest.mark.parametrize("t", [math.inf, math.nan])
+@pytest.mark.parametrize("t", [math.inf, math.nan, pytest.param(10**400, id="1e400")])
 @pytest.mark.parametrize("operator", [integral, deriv_of_integral, integral_of_deriv])
 def test_quad_operators_reject_non_finite_t(operator, t):
     with pytest.raises(PreconditionError, match=f"t must be finite, got {t!r}"):
