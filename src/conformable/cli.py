@@ -3,7 +3,8 @@ sweeps with CSV output, and the verification harness.
 
 Exit codes are a total function of the outcome category:
 0 value, 1 usage or domain error, 2 does-not-exist, 3 quadrature
-convergence failure, 4 verification-matrix mismatch.
+convergence failure, 4 verification-matrix mismatch.  A sweep row whose
+evaluation fails gets the status ``error``, and the sweep then exits 1.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .core import (
     deriv_closed_form,
     deriv_limit,
 )
-from .errors import ConvergenceError, NonFiniteError, PreconditionError
+from .errors import ConvergenceError, DomainError, NonFiniteError, PreconditionError
 from .expr import FuncSpec
 from .quad import DEFAULT_QUAD_CONFIG, QuadConfig, integral
 
@@ -169,10 +170,15 @@ def _cmd_sweep(args) -> int:
     for v in _sweep_values(args.start, args.stop, args.steps):
         alpha = v if args.var == "alpha" else args.alpha
         t = args.t if args.var == "alpha" else v
-        if args.op == "integ":
-            r = integral(f, alpha, args.a, t)
-        else:
-            r = _derivative(f, alpha, args.a, t, args.mode, args.method)
+        try:
+            if args.op == "integ":
+                r = integral(f, alpha, args.a, t)
+            else:
+                r = _derivative(f, alpha, args.a, t, args.mode, args.method)
+        except (DomainError, NonFiniteError) as exc:
+            print(f"error: {args.var}={_CSV % v}: {exc}", file=sys.stderr)
+            rows.append((v, "", "", "error"))
+            continue
         if r.exists:
             rows.append((v, _CSV % r.value, _CSV % r.err_estimate, "ok"))
         else:
@@ -186,7 +192,7 @@ def _cmd_sweep(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return EXIT_OK
+    return EXIT_USAGE if any(row[3] == "error" for row in rows) else EXIT_OK
 
 
 def run_all(modes):

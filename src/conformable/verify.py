@@ -7,6 +7,10 @@ relation, inverse operators, continuity implication) hold under the
 convention they are stated for; the six-point terminal checklist is where
 the conventions split: the original convention fails every quantitative
 item, the corrected one satisfies them all.
+
+One run computes each costly operator result once, in a results table
+that lives for the run (terminal results keyed with their mode), and the
+checks of both modes judge the same values.  Closed forms are called directly.
 """
 
 from __future__ import annotations
@@ -219,6 +223,20 @@ class _Collector:
         )
 
 
+class _Results(dict):
+    """One run's operator results, keyed by the operator function itself
+    (looked up in this module's globals at each call, so a patched operator
+    gets its own entries) and its arguments; each is computed on first request.
+    """
+
+    def __call__(self, op, *args) -> EvalResult:
+        key = (op, *args)
+        r = self.get(key)
+        if r is None:
+            r = self[key] = op(*args)
+        return r
+
+
 def _shown(r: EvalResult) -> str:
     return f"value({r.value:.9g})" if r.exists else "does-not-exist"
 
@@ -271,7 +289,7 @@ def _rule_rhs(case: tuple, x: float, a: float, df: float, dg: float) -> float:
 
 
 def check_algebra_rules(
-    mode: TerminalMode, config: HarnessConfig = DEFAULT_CONFIG
+    mode: TerminalMode, config: HarnessConfig = DEFAULT_CONFIG, results: _Results | None = None
 ) -> CheckOutcome:
     """Linearity, product, quotient, constant, and the weighted-f' identity.
 
@@ -280,6 +298,7 @@ def check_algebra_rules(
     of order below one vanish.  The weighted-f' identity (rule v) is not
     asserted at (order 1, t = a).
     """
+    results = _Results() if results is None else results
     col = _Collector("algebra_rules", mode)
     for a in config.terminals:
         funcs = registry_for(a)
@@ -305,7 +324,7 @@ def check_algebra_rules(
             for alpha in (0.25, 0.75, 1.0):
                 for off in (0.1, 1.0, 4.0):
                     t = a + off
-                    lm = deriv_limit(funcs[key], alpha, a, t, config.schedule)
+                    lm = results(deriv_limit, funcs[key], alpha, a, t, config.schedule)
                     cf = deriv_closed_form(funcs[key], alpha, a, t)
                     col.require(
                         key, alpha, None, t, lm.exists and cf.exists,
@@ -317,15 +336,17 @@ def check_algebra_rules(
                             max(config.route_tol, 10.0 * lm.err_estimate),
                         )
         if mode is TerminalMode.CORRECTED:
-            _algebra_at_terminal(col, a, funcs, cases, config)
+            _algebra_at_terminal(col, results, a, funcs, cases, config)
     notes = ()
     if mode is TerminalMode.CORRECTED:
         notes = ("rule (v) is not asserted at the terminal for order 1",)
     return col.outcome(notes=notes)
 
 
-def _algebra_at_terminal(col: _Collector, a: float, funcs, cases, config: HarnessConfig) -> None:
-    term = lambda f, alpha: deriv_at_terminal(f, alpha, a, TerminalMode.CORRECTED, config.schedule)
+def _algebra_at_terminal(col: _Collector, results, a: float, funcs, cases, config) -> None:
+    term = lambda f, alpha: results(
+        deriv_at_terminal, f, alpha, a, TerminalMode.CORRECTED, config.schedule
+    )
     for alpha in config.alphas:
         for case in cases:
             label, _, f, g, combined, _, _, rtol = case
@@ -347,7 +368,7 @@ def _algebra_at_terminal(col: _Collector, a: float, funcs, cases, config: Harnes
 
 
 def check_order_relation(
-    mode: TerminalMode, config: HarnessConfig = DEFAULT_CONFIG
+    mode: TerminalMode, config: HarnessConfig = DEFAULT_CONFIG, results: _Results | None = None
 ) -> CheckOutcome:
     """Conversion between orders at interior points, and its terminal form.
 
@@ -358,6 +379,7 @@ def check_order_relation(
     orders exist together and the well-defined conversion direction gives
     zero for orders below one.
     """
+    results = _Results() if results is None else results
     col = _Collector("order_relation", mode)
     smooth_keys = [e.key for e in REGISTRY if e.smooth and e.jump is None]
     for a in config.terminals:
@@ -379,16 +401,28 @@ def check_order_relation(
                             _scale_tol(config.order_rtol, derivs[alpha]),
                         )
         if mode is TerminalMode.ORIGINAL:
-            _case_split_original(col, a, funcs, config)
-        else:
-            _terminal_conversion_corrected(col, a, funcs, config)
+            _case_split_original(col, results, a, funcs, config)
+            continue
+        for entry in REGISTRY:
+            f = funcs[entry.key]
+            for alpha in config.alphas:
+                r = results(deriv_at_terminal, f, alpha, a, mode, config.schedule)
+                col.require(
+                    entry.key, alpha, None, a, r.exists == entry.right_differentiable,
+                    _shown(r), "exists iff right first derivative exists",
+                )
+            if entry.right_differentiable:
+                _conversion_at_terminal(col, results, entry.key, f, a, mode, config)
     return col.outcome()
 
 
-def _case_split_original(col: _Collector, a: float, funcs, config: HarnessConfig) -> None:
+def _case_split_original(col: _Collector, results, a: float, funcs, config) -> None:
+    term = lambda key, alpha: results(
+        deriv_at_terminal, funcs[key], alpha, a, TerminalMode.ORIGINAL, config.schedule
+    )
     for key, gamma, at_value in (("power_04", 0.4, 0.4), ("power_05", 0.5, 1.0)):
         for beta in config.alphas:
-            r = deriv_at_terminal(funcs[key], beta, a, TerminalMode.ORIGINAL, config.schedule)
+            r = term(key, beta)
             if beta < gamma:
                 col.result(key, None, beta, a, r, "value(0)", 0.0, config.terminal_tol)
             elif beta == gamma:
@@ -402,48 +436,32 @@ def _case_split_original(col: _Collector, a: float, funcs, config: HarnessConfig
         for alpha in config.alphas:
             if alpha == 1.0:
                 continue
-            r = deriv_at_terminal(funcs[key], alpha, a, TerminalMode.ORIGINAL, config.schedule)
+            r = term(key, alpha)
             col.result(key, alpha, None, a, r, "value(0)", 0.0, config.terminal_tol)
 
 
-def _terminal_conversion_corrected(col: _Collector, a: float, funcs, config: HarnessConfig) -> None:
-    for entry in REGISTRY:
-        results = {
-            alpha: deriv_at_terminal(
-                funcs[entry.key], alpha, a, TerminalMode.CORRECTED, config.schedule
-            )
-            for alpha in config.alphas
-        }
-        for alpha in config.alphas:
-            col.require(
-                entry.key, alpha, None, a,
-                results[alpha].exists == entry.right_differentiable,
-                _shown(results[alpha]),
-                "exists iff right first derivative exists",
-            )
-        if entry.right_differentiable:
-            _conversion_at_terminal(col, entry.key, a, results, config)
-
-
-def _conversion_at_terminal(col: _Collector, key: str, a: float, results, config) -> None:
+def _conversion_at_terminal(col: _Collector, results, key: str, f, a: float, mode, config) -> None:
     """Terminal results per order, converted in the well-defined direction.
 
     For beta < alpha the weight (t-a)^(alpha-beta) vanishes at t = a, so
     the lower order must read zero wherever both orders exist.
     """
     for alpha in config.alphas:
+        ra = results(deriv_at_terminal, f, alpha, a, mode, config.schedule)
         for beta in config.alphas:
-            ra, rb = results[alpha], results[beta]
-            if beta < alpha and ra.exists and rb.exists:
-                col.value(key, alpha, beta, a, rb.value, 0.0 * ra.value, config.terminal_tol)
+            if beta < alpha and ra.exists:
+                rb = results(deriv_at_terminal, f, beta, a, mode, config.schedule)
+                if rb.exists:
+                    col.value(key, alpha, beta, a, rb.value, 0.0 * ra.value, config.terminal_tol)
 
 
 def check_inverses(
-    mode: TerminalMode, config: HarnessConfig = DEFAULT_CONFIG
+    mode: TerminalMode, config: HarnessConfig = DEFAULT_CONFIG, results: _Results | None = None
 ) -> CheckOutcome:
     """Left inverse (derivative of integral) and right inverse (integral of
     derivative), including the jump counterexample for the right inverse.
     """
+    results = _Results() if results is None else results
     col = _Collector("inverse_operators", mode)
     for a in config.terminals:
         funcs = registry_for(a)
@@ -455,14 +473,16 @@ def check_inverses(
                     if entry.kink_offset is not None and abs(off - entry.kink_offset) < 0.25:
                         continue
                     if entry.jump is None:  # left inverse needs continuity on [a, t]
-                        r = deriv_of_integral(f, alpha, a, t, config.quad, config.schedule)
+                        r = results(
+                            deriv_of_integral, f, alpha, a, t, config.quad, config.schedule
+                        )
                         col.result(
                             f"T(I {entry.key})", alpha, None, t, r,
                             "value(f(t))", evaluate(f, t, a), config.inverse_tol,
                         )
                     if entry.kink_offset is not None:
                         continue  # not differentiable throughout (a, t]
-                    r = integral_of_deriv(f, alpha, a, t, config.quad)
+                    r = results(integral_of_deriv, f, alpha, a, t, config.quad)
                     col.result(
                         f"I(T {entry.key})", alpha, None, t, r, "value(f(t) - f(a+))",
                         evaluate(f, t, a) - evaluate_body(f, a), config.inverse_tol,
@@ -489,7 +509,7 @@ def check_inverses(
 
 
 def check_continuity_implication(
-    mode: TerminalMode, config: HarnessConfig = DEFAULT_CONFIG
+    mode: TerminalMode, config: HarnessConfig = DEFAULT_CONFIG, results: _Results | None = None
 ) -> CheckOutcome:
     """Differentiability must imply continuity at the evaluated point.
 
@@ -497,12 +517,13 @@ def check_continuity_implication(
     a terminal derivative even though it is not right-continuous there;
     the corrected convention reports nonexistence instead.
     """
+    results = _Results() if results is None else results
     col = _Collector("continuity_implication", mode)
     for a in config.terminals:
         funcs = registry_for(a)
         for entry in REGISTRY:
             f = funcs[entry.key]
-            r = deriv_at_terminal(f, 0.5, a, mode, config.schedule)
+            r = results(deriv_at_terminal, f, 0.5, a, mode, config.schedule)
             # Right oscillation: the gap between the extrapolated right limit
             # of f and its assigned value at the terminal.
             limit, _, why = right_limit(lambda h: evaluate(f, a + h, a), config.schedule)
@@ -551,7 +572,7 @@ _CHECKLIST_KEYS = (
 
 
 def check_terminal_checklist(
-    mode: TerminalMode, config: HarnessConfig = DEFAULT_CONFIG
+    mode: TerminalMode, config: HarnessConfig = DEFAULT_CONFIG, results: _Results | None = None
 ) -> list[CheckOutcome]:
     """Six desiderata for the behaviour of the derivative at the terminal.
 
@@ -559,112 +580,79 @@ def check_terminal_checklist(
     2-6 are concrete: the original convention fails each of them on a
     registry witness; the corrected convention satisfies them all.
     """
-    outcomes = [
-        CheckOutcome(
-            "naturalness", mode, "skipped",
-            reason="qualitative criterion; not machine-checkable",
-        )
-    ]
-    # Precompute terminal results per (a, key, alpha) plus the right-derivative
-    # oracle (the corrected order-1 evaluation is exactly that quotient limit).
-    term: dict[tuple[float, str], dict[float, EvalResult]] = {}
-    right_deriv: dict[tuple[float, str], EvalResult] = {}
+    results = _Results() if results is None else results
+    depends, uniform, matches, order_one, conversion = (
+        _Collector(check, mode) for check in CHECKLIST_IDS[1:]
+    )
     for a in config.terminals:
         funcs = registry_for(a)
-        for key in _CHECKLIST_KEYS:
-            term[(a, key)] = {
-                alpha: deriv_at_terminal(funcs[key], alpha, a, mode, config.schedule)
-                for alpha in config.alphas
-            }
-            right_deriv[(a, key)] = deriv_at_terminal(
-                funcs[key], 1.0, a, TerminalMode.CORRECTED, config.schedule
-            )
-
-    col = _Collector("depends_on_terminal_value", mode)
-    for a in config.terminals:
+        term = lambda key, alpha: results(
+            deriv_at_terminal, funcs[key], alpha, a, mode, config.schedule
+        )
         for alpha in config.alphas:
-            base = term[(a, "identity")][alpha]
-            dec = term[(a, "jump_identity")][alpha]
+            base, dec = term("identity", alpha), term("jump_identity", alpha)
             differs = base.exists != dec.exists or (
                 base.exists and dec.exists and base.value != dec.value
             )
-            col.require(
+            depends.require(
                 "identity vs jump_identity", alpha, None, a, differs,
                 f"base {_shown(base)}; decorated {_shown(dec)}",
                 "changing f(a) must change the terminal derivative",
             )
             if dec.exists:
-                col.require(
+                depends.require(
                     "jump_identity", alpha, None, a, False,
                     f"derivative {_shown(dec)} despite a jump at the terminal",
                     "alpha-differentiability at a must imply right continuity",
                 )
-    outcomes.append(col.outcome())
-
-    col = _Collector("existence_uniform_in_order", mode)
-    for a in config.terminals:
         for key in _CHECKLIST_KEYS:
-            existing = [al for al in config.alphas if term[(a, key)][al].exists]
-            missing = [al for al in config.alphas if not term[(a, key)][al].exists]
-            uniform = not existing or not missing
-            col.require(
+            rs = [term(key, alpha) for alpha in config.alphas]
+            # The right-derivative oracle: the corrected order-1 evaluation is
+            # exactly that quotient limit.
+            rd = results(
+                deriv_at_terminal, funcs[key], 1.0, a, TerminalMode.CORRECTED, config.schedule
+            )
+            existing = [al for al, r in zip(config.alphas, rs) if r.exists]
+            missing = [al for al, r in zip(config.alphas, rs) if not r.exists]
+            uniform.require(
                 key,
                 existing[0] if existing else None,
                 missing[0] if missing else None,
                 a,
-                uniform,
+                not existing or not missing,
                 f"exists for alpha={existing}; not for alpha={missing}",
                 "existence must be order-independent",
             )
-    outcomes.append(col.outcome())
-
-    col = _Collector("existence_matches_first_derivative", mode)
-    for a in config.terminals:
-        for key in _CHECKLIST_KEYS:
-            rd = right_deriv[(a, key)]
-            for alpha in config.alphas:
-                r = term[(a, key)][alpha]
-                col.require(
+            for alpha, r in zip(config.alphas, rs):
+                matches.require(
                     key, alpha, None, a, r.exists == rd.exists,
                     f"derivative {_shown(r)}; right f'(a) {_shown(rd)}",
                     "existence must co-occur with the first derivative",
                 )
-    outcomes.append(col.outcome())
-
-    col = _Collector("order_one_matches_first_derivative", mode)
-    for a in config.terminals:
-        for key in _CHECKLIST_KEYS:
-            rd = right_deriv[(a, key)]
-            r1 = term[(a, key)][1.0]
-            col.require(
-                key, 1.0, None, a, r1.exists == rd.exists,
-                f"order-1 {_shown(r1)}; right f'(a) {_shown(rd)}",
-                "order-1 derivative must equal f'(a)",
-            )
-            if r1.exists and rd.exists:
-                col.value(key, 1.0, None, a, r1.value, rd.value, config.terminal_tol)
-    outcomes.append(col.outcome())
-
-    col = _Collector("order_conversion_at_terminal", mode)
-    for a in config.terminals:
-        for key in _CHECKLIST_KEYS:
-            rd = right_deriv[(a, key)]
-            for alpha in config.alphas:
-                r = term[(a, key)][alpha]
                 # Weighted-f' form at the terminal: the weight vanishes for
                 # orders below one, so existence must track f'(a) and the
                 # value must be zero.
                 if alpha < 1.0:
-                    col.require(
+                    conversion.require(
                         key, alpha, None, a, r.exists == rd.exists,
                         f"derivative {_shown(r)}; right f'(a) {_shown(rd)}",
                         "weighted-f' form must extend to the terminal",
                     )
                     if r.exists and rd.exists:
-                        col.value(key, alpha, None, a, r.value, 0.0, config.terminal_tol)
-            _conversion_at_terminal(col, key, a, term[(a, key)], config)
-    outcomes.append(col.outcome())
-    return outcomes
+                        conversion.value(key, alpha, None, a, r.value, 0.0, config.terminal_tol)
+            _conversion_at_terminal(conversion, results, key, funcs[key], a, mode, config)
+            r1 = term(key, 1.0)
+            order_one.require(
+                key, 1.0, None, a, r1.exists == rd.exists,
+                f"order-1 {_shown(r1)}; right f'(a) {_shown(rd)}",
+                "order-1 derivative must equal f'(a)",
+            )
+            if r1.exists and rd.exists:
+                order_one.value(key, 1.0, None, a, r1.value, rd.value, config.terminal_tol)
+    skipped = CheckOutcome(
+        "naturalness", mode, "skipped", reason="qualitative criterion; not machine-checkable"
+    )
+    return [skipped] + [c.outcome() for c in (depends, uniform, matches, order_one, conversion)]
 
 
 # --------------------------------------------------------------------------
@@ -769,10 +757,11 @@ def run_all(
     if modes is None:
         modes = (TerminalMode.ORIGINAL, TerminalMode.CORRECTED)
     outcomes: list[CheckOutcome] = []
+    results = _Results()
     for mode in modes:
-        outcomes.append(check_algebra_rules(mode, config))
-        outcomes.append(check_order_relation(mode, config))
-        outcomes.append(check_inverses(mode, config))
-        outcomes.append(check_continuity_implication(mode, config))
-        outcomes.extend(check_terminal_checklist(mode, config))
+        outcomes.append(check_algebra_rules(mode, config, results))
+        outcomes.append(check_order_relation(mode, config, results))
+        outcomes.append(check_inverses(mode, config, results))
+        outcomes.append(check_continuity_implication(mode, config, results))
+        outcomes.extend(check_terminal_checklist(mode, config, results))
     return VerificationReport(tuple(outcomes), _registry_hash(), _config_echo(config))

@@ -405,6 +405,25 @@ def test_sweep_alpha_endpoints_are_pinned(capsys):
     assert float(rows[-1]["param"]) == 1.0
 
 
+def test_sweep_through_a_domain_error_writes_every_row(capsys):
+    # ln(t-1) is undefined at t = 0.5 and t = 1; the other four points are fine.
+    code, out, err = run(
+        capsys, "sweep", "--var", "t", "--start", "0.5", "--stop", "3", "--steps", "6",
+        "--expr", "ln(t-1)", "--a", "0", "--alpha", "0.5",
+    )
+    assert code == 1
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["status"] for r in rows] == ["error", "error", "ok", "ok", "ok", "ok"]
+    assert all(r["value"] == r["err"] == "" for r in rows[:2])
+    for row in rows[2:]:
+        t = float(row["param"])
+        assert float(row["value"]) == pytest.approx(t ** 0.5 / (t - 1.0), rel=1e-12)
+    assert err.splitlines() == [
+        "error: t=0.5: ln of non-positive value -0.5",
+        "error: t=1: ln of non-positive value 0.0",
+    ]
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -1,14 +1,20 @@
 import json
+from collections import Counter
 
 import pytest
 
+import conformable.verify as verify
 from conformable import TerminalMode
 from conformable.verify import (
     CHECK_IDS,
     CHECKLIST_IDS,
     EXPECTED_STATUS,
     REGISTRY,
+    HarnessConfig,
+    check_algebra_rules,
     check_continuity_implication,
+    check_inverses,
+    check_order_relation,
     check_terminal_checklist,
     registry_for,
     run_all,
@@ -110,10 +116,16 @@ def test_checklist_ids_and_order():
     assert [o.check_id for o in outcomes] == list(CHECKLIST_IDS)
 
 
-def test_report_determinism():
+def _outcomes_of(report, mode):
+    return tuple(o for o in report.outcomes if o.mode is mode)
+
+
+def test_report_determinism(default_report):
     a = run_all((CORRECTED,))
     b = run_all((CORRECTED,))
     assert a.to_json() == b.to_json()
+    # A run of one mode judges the same values as the two-mode run.
+    assert a.outcomes == _outcomes_of(default_report, CORRECTED)
 
 
 def test_report_json_schema(report):
@@ -138,7 +150,41 @@ def test_report_text_summary(report):
     assert "matches the expected matrix" in text
 
 
-def test_mode_filter():
+def test_mode_filter(default_report):
     report = run_all((ORIGINAL,))
     assert {o.mode for o in report.outcomes} == {ORIGINAL}
     assert len(report.outcomes) == len(CHECK_IDS)
+    assert report.outcomes == _outcomes_of(default_report, ORIGINAL)
+
+
+# One terminal, one composition order and one offset: every check still
+# runs, on a grid small enough to run several times.
+SMALL = HarnessConfig(terminals=(0.0,), composition_alphas=(0.5,), composition_offsets=(1.0,))
+
+
+def test_each_operator_result_is_computed_once_per_run(monkeypatch):
+    counts = Counter()
+    for name in ("deriv_of_integral", "integral_of_deriv", "deriv_limit"):
+        def counted(*args, _op=getattr(verify, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _op(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counted)
+    both = run_all(config=SMALL)
+    calls_for_both = dict(counts)
+    counts.clear()
+    run_all((ORIGINAL,), config=SMALL)
+    assert dict(counts) == calls_for_both
+    assert set(calls_for_both) == {"deriv_of_integral", "integral_of_deriv", "deriv_limit"}
+    # A check called alone builds its own table and judges the same values.
+    expected = {(o.check_id, o.mode): o for o in both.outcomes}
+    for mode in (ORIGINAL, CORRECTED):
+        alone = [
+            check(mode, SMALL)
+            for check in (
+                check_algebra_rules, check_order_relation,
+                check_inverses, check_continuity_implication,
+            )
+        ] + check_terminal_checklist(mode, SMALL)
+        assert alone == [expected[(o.check_id, mode)] for o in alone]
+        assert [o.check_id for o in alone] == list(CHECK_IDS)
