@@ -13,6 +13,11 @@ At the lower terminal t = a the two conventions differ:
 * ``TerminalMode.CORRECTED`` -- the value exists iff the right first
   derivative f'(a) exists, and equals f'(a) for alpha = 1 and 0 for
   alpha < 1.
+
+`deriv_at_terminal` tries forward mode first: where the pair (f(a), f'(a))
+evaluates, f' is right-continuous at a and both values follow from f'(a)
+exactly.  What forward mode refuses (a kink, a domain edge or a fractional
+power at a) goes to extrapolation on a geometric mesh toward a.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import sys
 from enum import Enum
 from typing import Callable, Sequence, Union
 
-from .errors import NonDifferentiableError, PreconditionError
+from .errors import DomainError, NonDifferentiableError, NonFiniteError, PreconditionError
 from .expr import FuncSpec, evaluate, evaluate_dual
 from .record import Record
 
@@ -331,7 +336,9 @@ def deriv_limit(
     Probes theta of both signs, extrapolates each side (and their central
     average) over the geometric step schedule, and reports DoesNotExist
     when the extrapolants fail the Cauchy test, the one-sided limits
-    disagree, or the raw quotients pass the divergence cap.
+    disagree, or the raw quotients pass the divergence cap.  When the
+    automatic schedule fails only the Cauchy test, the route retries once
+    with an initial step 100 times smaller, kept above the rounding floor.
     """
     al, av, t = checked_interior(alpha, a, t)
     d = t - av
@@ -348,6 +355,23 @@ def deriv_limit(
             "limit schedule underflows into rounding noise at this point"
         )
     f0 = _point(f, t, av)
+    r = _limit_from_quotients(f, av, t, f0, weight, theta0, sched)
+    if sched.theta0 is None and r.reason == _NOT_CAUCHY:
+        # f may vary faster than the automatic steps resolve.
+        retry = max(1e-2 * theta0, 2.0 * floor / sched.shrink**sched.levels)
+        if retry < theta0:
+            r = _limit_from_quotients(f, av, t, f0, weight, retry, sched)
+    return r
+
+
+_NOT_CAUCHY = "extrapolated difference quotients are not Cauchy"
+
+
+def _limit_from_quotients(
+    f: Func, av: float, t: float, f0: float, weight: float, theta0: float,
+    sched: LimitSchedule,
+) -> EvalResult:
+    """`deriv_limit` from the quotients at theta0 * shrink^k, k < levels."""
     forward: list[float] = []
     backward: list[float] = []
     theta = theta0
@@ -369,7 +393,7 @@ def deriv_limit(
     v_ctr, e_ctr = _neville_best(central, [r ** (2 * j) for j in range(1, sched.levels)])
     scale = max(1.0, abs(v_ctr))
     if e_ctr > sched.cauchy_tol * scale:
-        return EvalResult.does_not_exist("extrapolated difference quotients are not Cauchy")
+        return EvalResult.does_not_exist(_NOT_CAUCHY)
     gap = abs(v_fwd - v_bwd)
     noise = 4.0 * (e_fwd + e_bwd)
     if gap > max(sched.cauchy_tol * max(scale, abs(v_fwd), abs(v_bwd)), noise):
@@ -386,14 +410,41 @@ def deriv_at_terminal(
 ) -> EvalResult:
     """Derivative at the lower terminal itself, under the selected mode.
 
-    ORIGINAL extrapolates interior closed-form derivatives along the mesh
-    t_k = a + 1e-2 * shrink^k (independent of f(a) by construction).
-    CORRECTED extrapolates the right difference quotient
-    (f(a+h) - f(a)) / h, jump decoration included; when that limit exists
-    the result is f'(a) for alpha = 1 and 0 for alpha < 1.
+    Forward mode first: when the pair (f(a), f'(a)) evaluates, f' is finite
+    and right-continuous at a, because every kink and domain edge of the
+    language raises at a, and a zero base passes only for an exponent of at
+    least 1.  Both conventions then agree: f'(a) at alpha = 1 and 0 below,
+    with err_estimate 0.  ORIGINAL ignores a jump decoration; CORRECTED
+    reports does-not-exist for a non-zero one.  f is also evaluated once at
+    a + 1e-2, so a body undefined there, like (-t)^1.5 at a = 0, still
+    raises.  A registered function is trusted to raise where its
+    derivative is not continuous.
+
+    What forward mode refuses goes to the mesh t_k = a + 1e-2 * shrink^k.
+    ORIGINAL extrapolates interior closed-form derivatives along it
+    (independent of f(a) by construction); CORRECTED extrapolates the right
+    difference quotient (f(a+h) - f(a)) / h, jump decoration included.
     """
     al = checked_order(alpha)
     av = _checked_terminal(a)
+    _checked_point(av + _TERMINAL_OFFSET, av)
+    try:
+        slope = evaluate_dual(f, av)[1]
+    except (NonDifferentiableError, DomainError, NonFiniteError):
+        return _terminal_from_mesh(f, al, av, mode, sched)
+    evaluate(f, av + _TERMINAL_OFFSET, av)
+    jump = f.jump_at_terminal
+    if mode is TerminalMode.CORRECTED and jump:
+        return EvalResult.does_not_exist(
+            f"right first derivative does not exist at the terminal: f jumps by {jump!r} there"
+        )
+    return EvalResult.of(slope if al == 1.0 else 0.0, 0.0)
+
+
+def _terminal_from_mesh(
+    f: FuncSpec, al: float, av: float, mode: TerminalMode, sched: LimitSchedule
+) -> EvalResult:
+    """`deriv_at_terminal` by extrapolation along the terminal mesh."""
     if mode is TerminalMode.ORIGINAL:
         try:
             val, err, why = right_limit(lambda h: _closed_value(f, al, av, av + h), sched)

@@ -55,6 +55,50 @@ def test_deriv_terminal_corrected_dne(capsys):
     assert out.startswith("does-not-exist reason=")
 
 
+def test_deriv_terminal_huge_terminal_is_usage_error_in_both_modes(capsys):
+    # 1e17 + 1e-2 rounds back to 1e17: the terminal mesh has no interior point.
+    for mode in ("original", "corrected"):
+        code, out, err = run(
+            capsys, "deriv", "--expr", "t", "--alpha", "0.5", "--a", "1e17",
+            "--t", "1e17", "--mode", mode,
+        )
+        assert code == 1 and out == ""
+        assert "t must lie strictly above the lower terminal a" in err
+
+
+@pytest.mark.parametrize("argv,printed", [
+    (["--expr", "t*sin(t)+exp(t)", "--alpha", "0.9", "--a=-2", "--t=-2", "--mode", "original"],
+     "value=0 err=0\n"),
+    (["--expr", "t*sin(t)+exp(t)", "--alpha", "0.5", "--a=-2", "--t=-2", "--mode", "original"],
+     "value=0 err=0\n"),
+    (["--expr", "exp(cos(cos(t^2)))", "--alpha", "1", "--a", "1", "--t", "1", "--mode", "corrected"],
+     "value=2.04078 err=0\n"),
+    (["--expr", "t+t+t", "--alpha", "0.1", "--a=-2", "--t=-2", "--mode", "corrected"],
+     "value=0 err=0\n"),
+])
+def test_deriv_terminal_of_smooth_functions(capsys, argv, printed):
+    code, out, _ = run(capsys, "deriv", *argv)
+    assert code == 0
+    assert out == printed
+
+
+def test_deriv_limit_of_fast_varying_function(capsys):
+    code, out, _ = run(
+        capsys, "deriv", "--expr", "cos(exp(t))", "--alpha", "0.8", "--a", "1",
+        "--t", "11", "--method", "limit",
+    )
+    assert code == 0
+    assert out.startswith("value=-94437.6 ")
+
+
+def test_deriv_terminal_negative_base_right_of_terminal(capsys):
+    code, out, err = run(
+        capsys, "deriv", "--expr", "(-t)^1.5", "--alpha", "0.5", "--a", "0", "--t", "0",
+    )
+    assert code == 1 and out == ""
+    assert "negative base with non-integer exponent" in err
+
+
 def test_deriv_bad_alpha(capsys):
     code, _, err = run(capsys, "deriv", "--expr", "t", "--alpha", "2", "--a", "0", "--t", "1")
     assert code == 1

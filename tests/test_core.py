@@ -13,13 +13,15 @@ from conformable import (
     deriv_at_terminal,
     deriv_closed_form,
     deriv_limit,
+    evaluate_body,
     evaluate_dual,
     order_convert,
     right_limit,
 )
 from conformable import core
 from conformable.core import checked_order
-from conformable.errors import DomainError, PreconditionError
+from conformable.errors import DomainError, NonDifferentiableError, PreconditionError
+from conformable.expr import BinOp, Call, Const, Neg, Var
 
 F = FuncSpec.from_source
 ORIGINAL = TerminalMode.ORIGINAL
@@ -217,6 +219,20 @@ def test_limit_fallback_step_can_still_underflow():
         deriv_limit(F("t"), 1.0, 1e6, 1e6 + 1e-3)
 
 
+def test_limit_retries_once_with_smaller_steps_when_not_cauchy():
+    # cos(exp(t)) varies on a scale of exp(-11) ~ 1.7e-5 near t = 11, below
+    # the automatic steps; the retry at theta0 * 1e-2 resolves it.
+    f = F("cos(exp(t))")
+    cf = deriv_closed_form(f, 0.8, 1.0, 11.0).value
+    assert cf == pytest.approx(-9.4437625e4, rel=1e-7)
+    r = deriv_limit(f, 0.8, 1.0, 11.0)
+    assert r.exists, r.reason
+    assert abs(r.value - cf) <= 1e-6 * abs(cf)
+    # An explicit theta0 is used as given: no retry.
+    r = deriv_limit(f, 0.8, 1.0, 11.0, LimitSchedule(theta0=0.1))
+    assert r.reason == "extrapolated difference quotients are not Cauchy"
+
+
 def test_limit_accepts_callable():
     r = deriv_limit(lambda x: x * x, 1.0, 0.0, 3.0)
     assert r.value == pytest.approx(6.0, abs=1e-8)
@@ -396,8 +412,18 @@ def test_right_limit_uses_the_schedule_mesh():
 # terminal modes
 # --------------------------------------------------------------------------
 
+def test_terminal_original_ignores_a_kink_away_from_the_terminal():
+    # f' = -1 on [0, 0.01): the limit of (t-a)^(1-alpha) f'(t) is 0, and -1
+    # at order 1, though the mesh would meet the kink at its first point.
+    f = F("abs(t-0.01)")
+    assert deriv_at_terminal(f, 0.5, 0.0, ORIGINAL) == EvalResult.of(0.0, 0.0)
+    assert deriv_at_terminal(f, 1.0, 0.0, ORIGINAL) == EvalResult.of(-1.0, 0.0)
+
+
 def test_terminal_original_reason_names_first_bad_mesh_point():
-    r = deriv_at_terminal(F("abs(t-0.01)"), 0.5, 0.0, ORIGINAL)
+    # Forward mode refuses t^0.4 at 0, so the mesh runs and meets the kink;
+    # the value does not exist, as alpha > 0.4.
+    r = deriv_at_terminal(F("t^0.4+abs(t-0.01)"), 0.5, 0.0, ORIGINAL)
     assert r.reason == (
         "not differentiable arbitrarily close to the terminal: "
         "no first derivative at t=0.01: abs has no derivative at 0"
@@ -409,6 +435,45 @@ def test_terminal_original_mesh_point_rounding_to_a_is_rejected():
     with pytest.raises(PreconditionError) as info:
         deriv_at_terminal(F("t"), 0.5, 1e17, ORIGINAL)
     assert str(info.value) == "t must lie strictly above the lower terminal a"
+
+
+def test_terminal_corrected_mesh_point_rounding_to_a_is_rejected():
+    # The same rule in both modes, though forward mode needs no mesh for t.
+    for alpha in (0.5, 1.0):
+        with pytest.raises(PreconditionError) as info:
+            deriv_at_terminal(F("t"), alpha, 1e17, CORRECTED)
+        assert str(info.value) == "t must lie strictly above the lower terminal a"
+
+
+@pytest.mark.parametrize("source,alpha,a,mode,expected", [
+    ("t*sin(t)+exp(t)", 0.9, -2.0, ORIGINAL, 0.0),
+    ("t*sin(t)+exp(t)", 0.5, -2.0, ORIGINAL, 0.0),
+    ("exp(cos(cos(t^2)))", 1.0, 1.0, CORRECTED, 2.0407825281765293),
+    ("t+t+t", 0.1, -2.0, CORRECTED, 0.0),
+])
+def test_terminal_smooth_functions_the_mesh_misjudged(source, alpha, a, mode, expected):
+    # f' changes over the mesh [a, a + 1e-2], which extrapolation misjudges;
+    # forward mode gives f'(a) exactly.
+    r = deriv_at_terminal(F(source), alpha, a, mode)
+    assert r.exists, r.reason
+    assert abs(r.value - expected) <= 1e-12 and r.err_estimate == 0.0
+
+
+def test_terminal_forward_route_still_probes_right_of_the_terminal():
+    # The pair (0, 0) of (-t)^1.5 at 0 succeeds; f is undefined right of 0.
+    for mode in (ORIGINAL, CORRECTED):
+        with pytest.raises(DomainError, match="negative base with non-integer exponent"):
+            deriv_at_terminal(F("(-t)^1.5"), 0.5, 0.0, mode)
+
+
+@pytest.mark.parametrize("source", ["(t-1)^0.4", "(t-1)^0.5/0.5", "sqrt(t-1)"])
+def test_terminal_forward_refused_inputs_keep_the_mesh_answer(source):
+    f = F(source)
+    for mode in (ORIGINAL, CORRECTED):
+        for alpha in (0.3, 0.4, 0.5, 1.0):
+            assert deriv_at_terminal(f, alpha, 1.0, mode) == core._terminal_from_mesh(
+                f, alpha, 1.0, mode, DEFAULT_SCHEDULE
+            )
 
 
 def test_terminal_case_split_original():
@@ -463,6 +528,53 @@ def test_terminal_smooth_functions_vanish_below_order_one():
                 assert r.exists and abs(r.value) <= 1e-6, (source, a, alpha)
             r1 = deriv_at_terminal(f, 1.0, a, ORIGINAL)
             assert r1.exists and r1.value == pytest.approx(fprime(a), abs=1e-6)
+
+
+def _smooth_trees():
+    """Random bodies built from t, small constants, + - * /, sin, cos, exp
+    of a sine or cosine and abs: bounded values and curvature near the
+    terminals, kinks only where an abs argument vanishes."""
+    leaves = st.one_of(st.just(Var()), st.sampled_from([0.5, 1.0, 2.0]).map(Const))
+
+    def grow(sub):
+        return st.one_of(
+            st.tuples(st.sampled_from("+-*"), sub, sub).map(lambda x: BinOp(*x)),
+            st.tuples(sub, st.sampled_from(["sin", "cos"])).map(
+                lambda x: BinOp("/", x[0], Call("exp", Call(x[1], x[0])))
+            ),
+            sub.map(Neg),
+            st.tuples(st.sampled_from(["sin", "cos", "abs"]), sub).map(lambda x: Call(*x)),
+            st.tuples(st.sampled_from(["sin", "cos"]), sub).map(
+                lambda x: Call("exp", Call(*x))
+            ),
+        )
+
+    return st.recursive(leaves, grow, max_leaves=6)
+
+
+@settings(max_examples=300)
+@given(
+    body=_smooth_trees(),
+    a=st.sampled_from([-2.0, 0.0, 1.0]),
+    alpha=st.sampled_from([0.1, 0.5, 0.9, 1.0]),
+)
+def test_terminal_forward_route_properties(body, a, alpha):
+    f = FuncSpec(body)
+    try:
+        value, slope = evaluate_dual(f, a)
+    except NonDifferentiableError:
+        return
+    f_jump = FuncSpec(body, jump_at_terminal=5.0)
+    corrected = deriv_at_terminal(f, alpha, a, CORRECTED)
+    expected = slope if alpha == 1.0 else 0.0
+    assert corrected == EvalResult.of(expected, 0.0)
+    assert struct.pack("<d", corrected.value) == struct.pack("<d", expected)
+    assert deriv_at_terminal(f, alpha, a, ORIGINAL) == corrected
+    assert deriv_at_terminal(f_jump, alpha, a, ORIGINAL) == corrected
+    assert not deriv_at_terminal(f_jump, alpha, a, CORRECTED).exists
+    h = 1e-7
+    quotient = (evaluate_body(f, a + h) - value) / h
+    assert abs(quotient - slope) <= 1e-5 * max(1.0, abs(slope))
 
 
 def test_modes_agree_away_from_terminal():
