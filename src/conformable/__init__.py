@@ -9,9 +9,7 @@ operators.
 """
 
 from .core import (
-    DEFAULT_SCHEDULE,
     EvalResult,
-    LimitSchedule,
     TerminalMode,
     deriv_at_terminal,
     deriv_closed_form,
@@ -52,12 +50,10 @@ __all__ = [
     "Call",
     "Const",
     "ConvergenceError",
-    "DEFAULT_SCHEDULE",
     "DomainError",
     "EvalResult",
     "Expr",
     "FuncSpec",
-    "LimitSchedule",
     "Neg",
     "NonDifferentiableError",
     "NonFiniteError",

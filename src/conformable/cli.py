@@ -14,7 +14,6 @@ import sys
 from typing import Sequence
 
 from .core import (
-    DEFAULT_SCHEDULE,
     EvalResult,
     TerminalMode,
     checked_order,
@@ -121,9 +120,9 @@ def _derivative(f: FuncSpec, alpha: float, a: float, t: float, mode: str, method
     if t < a:
         raise PreconditionError("t must not lie below the lower terminal a")
     if t == a:
-        return deriv_at_terminal(f, alpha, a, TerminalMode(mode), DEFAULT_SCHEDULE)
+        return deriv_at_terminal(f, alpha, a, TerminalMode(mode))
     if method == "limit":
-        return deriv_limit(f, alpha, a, t, DEFAULT_SCHEDULE)
+        return deriv_limit(f, alpha, a, t)
     return deriv_closed_form(f, alpha, a, t)
 
 

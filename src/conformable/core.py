@@ -4,7 +4,9 @@ Two interior routes are provided: `deriv_limit` drives the defining
 difference quotient (f(t + theta*(t-a)^(1-alpha)) - f(t)) / theta to its
 two-sided limit with Richardson extrapolation, and `deriv_closed_form`
 uses the equivalent closed form (t-a)^(1-alpha) * f'(t) with f' evaluated
-in forward mode, as (value, derivative) pairs.
+in forward mode, as (value, derivative) pairs.  Every extrapolation here
+has the same fixed settings: 12 levels of steps shrinking by 0.5, a Cauchy
+tolerance of 1e-8 and a divergence cap of 1e12.
 
 At the lower terminal t = a the two conventions differ:
 
@@ -17,7 +19,7 @@ At the lower terminal t = a the two conventions differ:
 `deriv_at_terminal` tries forward mode first: where the pair (f(a), f'(a))
 evaluates, f' is right-continuous at a and both values follow from f'(a)
 exactly.  What forward mode refuses (a kink, a domain edge or a fractional
-power at a) goes to extrapolation on a geometric mesh toward a.
+power at a) goes to extrapolation on the mesh a + 1e-2 * 0.5^k, k < 12.
 """
 
 from __future__ import annotations
@@ -33,9 +35,7 @@ from .record import Record
 
 __all__ = [
     "EvalResult",
-    "LimitSchedule",
     "TerminalMode",
-    "DEFAULT_SCHEDULE",
     "checked_order",
     "deriv_at_terminal",
     "deriv_closed_form",
@@ -56,39 +56,15 @@ class TerminalMode(Enum):
     CORRECTED = "corrected"
 
 
-class LimitSchedule(Record):
-    """Step schedule for limit extrapolation.
+# Limit extrapolation steps shrink by _SHRINK over _LEVELS levels; a limit
+# is accepted within _CAUCHY_TOL (relative to max(1, |value|)), and samples
+# past _DIVERGENCE_CAP in magnitude read as divergent.
+_SHRINK = 0.5
+_LEVELS = 12
+_CAUCHY_TOL = 1e-8
+_DIVERGENCE_CAP = 1e12
 
-    ``theta0 = None`` selects the automatic initial step
-    ``min(1e-2 * max(1, t-a), 0.5 * (t-a)^alpha)``; the second bound keeps
-    every probe point strictly inside (a, inf), where the function may be
-    undefined otherwise.  When the smallest automatic step would fall below
-    the rounding floor ``sqrt(eps) * max(1, |t|)``, the second bound alone is
-    used.  An explicit ``theta0`` is used as given.
-    """
-
-    theta0: float | None = None
-    shrink: float = 0.5
-    levels: int = 12
-    cauchy_tol: float = 1e-8
-    divergence_cap: float = 1e12
-
-    def _check(self):
-        if self.theta0 is not None and not self.theta0 > 0.0:
-            raise ValueError("theta0 must be positive")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must lie in (0,1)")
-        if self.levels < 3:
-            raise ValueError("levels must be at least 3")
-        if not self.cauchy_tol > 0.0:
-            raise ValueError("cauchy_tol must be positive")
-        if not self.divergence_cap > 0.0:
-            raise ValueError("divergence_cap must be positive")
-
-
-DEFAULT_SCHEDULE = LimitSchedule()
-
-# Mesh offset for right limits at the terminal: h_k = 1e-2 * shrink^k.
+# Mesh offset for right limits at the terminal: h_k = 1e-2 * _SHRINK^k.
 _TERMINAL_OFFSET = 1e-2
 
 
@@ -112,7 +88,8 @@ class EvalResult(Record):
 
     @classmethod
     def of(cls, value: float, err_estimate: float = 0.0) -> "EvalResult":
-        return cls(value=float(value), err_estimate=float(err_estimate))
+        # + 0.0 turns a negative zero into +0.0 and leaves every other value as is.
+        return cls(value=float(value) + 0.0, err_estimate=float(err_estimate))
 
     @classmethod
     def does_not_exist(cls, reason: str) -> "EvalResult":
@@ -201,13 +178,8 @@ def _neville_best(samples: Sequence[float], factors: Sequence[float]) -> tuple[f
     return best, best_err
 
 
-def _limit_of_power_sequence(
-    values: Sequence[float],
-    ratio: float,
-    cauchy_tol: float,
-    divergence_cap: float,
-) -> tuple[float | None, float, str | None]:
-    """Limit of values sampled on a geometric mesh h_k = h0 * ratio^-k.
+def _limit_of_power_sequence(values: Sequence[float]) -> tuple[float | None, float, str | None]:
+    """Limit of values sampled on a geometric mesh h_k = h0 * _SHRINK^k.
 
     Assumes an error expansion C*h^p + O(h^(p+1)) with unknown p > 0; the
     leading exponent is estimated from successive difference ratios and
@@ -216,8 +188,9 @@ def _limit_of_power_sequence(
     sequence is detected as non-convergent.  Detection is a heuristic, not
     a proof.
     """
+    ratio = 1.0 / _SHRINK
     scale = max(abs(v) for v in values)
-    if scale > divergence_cap:
+    if scale > _DIVERGENCE_CAP:
         return None, 0.0, "values exceed the divergence cap"
     diffs = [b - a for a, b in zip(values, values[1:])]
     tiny = 64.0 * _EPS * max(1.0, scale)
@@ -226,7 +199,7 @@ def _limit_of_power_sequence(
     usable = _usable_ratios(diffs, tiny)
     if len(usable) < 1:
         # Cannot form contraction ratios; fall back to a plain Cauchy test.
-        if abs(diffs[-1]) <= cauchy_tol * max(1.0, abs(values[-1])):
+        if abs(diffs[-1]) <= _CAUCHY_TOL * max(1.0, abs(values[-1])):
             return values[-1], abs(diffs[-1]), None
         return None, 0.0, "mesh values did not stabilize"
     if usable[-1] >= 1.0:
@@ -250,15 +223,13 @@ def _limit_of_power_sequence(
     base_factor = 1.0 / rho  # = ratio**p for the estimated leading order p
     factors = [base_factor * ratio**j for j in range(len(window) - 1)]
     val, err = _neville_best(window, factors)
-    if err <= cauchy_tol * max(1.0, abs(val)):
+    if err <= _CAUCHY_TOL * max(1.0, abs(val)):
         return val, err, None
     return None, 0.0, "extrapolation toward the terminal did not converge"
 
 
-def right_limit(
-    g: PointFunc, sched: LimitSchedule = DEFAULT_SCHEDULE
-) -> tuple[float | None, float, str | None]:
-    """Limit of g(h) as h -> 0+, from g on the mesh h_k = 1e-2 * shrink^k.
+def right_limit(g: PointFunc) -> tuple[float | None, float, str | None]:
+    """Limit of g(h) as h -> 0+, from g on the mesh h_k = 1e-2 * 0.5^k, k < 12.
 
     g takes the offset h from the terminal, not the point a + h.  It is
     called in order of decreasing h, and an exception it raises propagates.
@@ -266,10 +237,7 @@ def right_limit(
     samples are detected as non-convergent; the detection is a heuristic,
     not a proof.
     """
-    samples = [g(_TERMINAL_OFFSET * sched.shrink**k) for k in range(sched.levels)]
-    return _limit_of_power_sequence(
-        samples, 1.0 / sched.shrink, sched.cauchy_tol, sched.divergence_cap
-    )
+    return _limit_of_power_sequence([g(_TERMINAL_OFFSET * _SHRINK**k) for k in range(_LEVELS)])
 
 
 def _usable_ratios(diffs: Sequence[float], tiny: float) -> list[float]:
@@ -324,43 +292,41 @@ def _closed_value(f: FuncSpec, al: float, av: float, t: float) -> float:
         raise NonDifferentiableError(f"no first derivative at t={t!r}: {exc}") from exc
 
 
-def deriv_limit(
-    f: Func,
-    alpha: float,
-    a: float,
-    t: float,
-    sched: LimitSchedule = DEFAULT_SCHEDULE,
-) -> EvalResult:
+def deriv_limit(f: Func, alpha: float, a: float, t: float) -> EvalResult:
     """Two-sided limit of the defining difference quotient at interior t.
 
-    Probes theta of both signs, extrapolates each side (and their central
-    average) over the geometric step schedule, and reports DoesNotExist
-    when the extrapolants fail the Cauchy test, the one-sided limits
-    disagree, or the raw quotients pass the divergence cap.  When the
-    automatic schedule fails only the Cauchy test, the route retries once
-    with an initial step 100 times smaller, kept above the rounding floor.
+    Probes theta of both signs at theta0 * 0.5^k, k < 12, extrapolates each
+    side (and their central average), and reports DoesNotExist when the
+    extrapolants fail the Cauchy test (1e-8 relative), the one-sided limits
+    disagree, or the raw quotients pass the divergence cap 1e12.
+
+    The first step is theta0 = min(1e-2 * max(1, t-a), 0.5 * (t-a)^alpha);
+    the second bound keeps every probe point strictly inside (a, inf), where
+    f may be undefined otherwise.  When the smallest step would fall below
+    the rounding floor sqrt(eps) * max(1, |t|), the second bound alone is
+    used, and PreconditionError is raised if that too falls below it.  When
+    the quotients fail only the Cauchy test, the route retries once with a
+    first step 100 times smaller, kept above the rounding floor.
     """
     al, av, t = checked_interior(alpha, a, t)
     d = t - av
     weight = positive_power(d, 1.0 - al)
     floor = math.sqrt(_EPS) * max(1.0, abs(t))
-    theta0 = sched.theta0
-    if theta0 is None:
-        theta0 = min(1e-2 * max(1.0, d), 0.5 * d / weight)
-        if not theta0 * sched.shrink**sched.levels > floor:
-            # The largest step that keeps every probe above a.
-            theta0 = 0.5 * d / weight
-    if not theta0 * sched.shrink**sched.levels > floor:
+    theta0 = min(1e-2 * max(1.0, d), 0.5 * d / weight)
+    if not theta0 * _SHRINK**_LEVELS > floor:
+        # The largest step that keeps every probe above a.
+        theta0 = 0.5 * d / weight
+    if not theta0 * _SHRINK**_LEVELS > floor:
         raise PreconditionError(
-            "limit schedule underflows into rounding noise at this point"
+            "the smallest limit step underflows into rounding noise at this point"
         )
     f0 = _point(f, t, av)
-    r = _limit_from_quotients(f, av, t, f0, weight, theta0, sched)
-    if sched.theta0 is None and r.reason == _NOT_CAUCHY:
-        # f may vary faster than the automatic steps resolve.
-        retry = max(1e-2 * theta0, 2.0 * floor / sched.shrink**sched.levels)
+    r = _limit_from_quotients(f, av, t, f0, weight, theta0)
+    if r.reason == _NOT_CAUCHY:
+        # f may vary faster than the first steps resolve.
+        retry = max(1e-2 * theta0, 2.0 * floor / _SHRINK**_LEVELS)
         if retry < theta0:
-            r = _limit_from_quotients(f, av, t, f0, weight, retry, sched)
+            r = _limit_from_quotients(f, av, t, f0, weight, retry)
     return r
 
 
@@ -368,35 +334,33 @@ _NOT_CAUCHY = "extrapolated difference quotients are not Cauchy"
 
 
 def _limit_from_quotients(
-    f: Func, av: float, t: float, f0: float, weight: float, theta0: float,
-    sched: LimitSchedule,
+    f: Func, av: float, t: float, f0: float, weight: float, theta0: float
 ) -> EvalResult:
-    """`deriv_limit` from the quotients at theta0 * shrink^k, k < levels."""
+    """`deriv_limit` from the quotients at theta0 * _SHRINK^k, k < _LEVELS."""
     forward: list[float] = []
     backward: list[float] = []
     theta = theta0
-    for _ in range(sched.levels):
+    for _ in range(_LEVELS):
         step = theta * weight
         fp = _point(f, t + step, av)
         fm = _point(f, t - step, av)
         forward.append((fp - f0) / theta)
         backward.append((f0 - fm) / theta)
-        theta *= sched.shrink
-    cap = sched.divergence_cap
-    if any(abs(q) > cap for q in forward + backward):
+        theta *= _SHRINK
+    if any(abs(q) > _DIVERGENCE_CAP for q in forward + backward):
         return EvalResult.does_not_exist("difference quotients exceed the divergence cap")
-    r = 1.0 / sched.shrink
-    one_sided = [r**j for j in range(1, sched.levels)]
+    r = 1.0 / _SHRINK
+    one_sided = [r**j for j in range(1, _LEVELS)]
     v_fwd, e_fwd = _neville_best(forward, one_sided)
     v_bwd, e_bwd = _neville_best(backward, one_sided)
     central = [0.5 * (p + q) for p, q in zip(forward, backward)]
-    v_ctr, e_ctr = _neville_best(central, [r ** (2 * j) for j in range(1, sched.levels)])
+    v_ctr, e_ctr = _neville_best(central, [r ** (2 * j) for j in range(1, _LEVELS)])
     scale = max(1.0, abs(v_ctr))
-    if e_ctr > sched.cauchy_tol * scale:
+    if e_ctr > _CAUCHY_TOL * scale:
         return EvalResult.does_not_exist(_NOT_CAUCHY)
     gap = abs(v_fwd - v_bwd)
     noise = 4.0 * (e_fwd + e_bwd)
-    if gap > max(sched.cauchy_tol * max(scale, abs(v_fwd), abs(v_bwd)), noise):
+    if gap > max(_CAUCHY_TOL * max(scale, abs(v_fwd), abs(v_bwd)), noise):
         return EvalResult.does_not_exist("one-sided limits disagree")
     return EvalResult.of(v_ctr, max(e_ctr, gap))
 
@@ -406,7 +370,6 @@ def deriv_at_terminal(
     alpha: float,
     a: float,
     mode: TerminalMode,
-    sched: LimitSchedule = DEFAULT_SCHEDULE,
 ) -> EvalResult:
     """Derivative at the lower terminal itself, under the selected mode.
 
@@ -420,7 +383,7 @@ def deriv_at_terminal(
     raises.  A registered function is trusted to raise where its
     derivative is not continuous.
 
-    What forward mode refuses goes to the mesh t_k = a + 1e-2 * shrink^k.
+    What forward mode refuses goes to the mesh t_k = a + 1e-2 * 0.5^k, k < 12.
     ORIGINAL extrapolates interior closed-form derivatives along it
     (independent of f(a) by construction); CORRECTED extrapolates the right
     difference quotient (f(a+h) - f(a)) / h, jump decoration included.
@@ -431,7 +394,7 @@ def deriv_at_terminal(
     try:
         slope = evaluate_dual(f, av)[1]
     except (NonDifferentiableError, DomainError, NonFiniteError):
-        return _terminal_from_mesh(f, al, av, mode, sched)
+        return _terminal_from_mesh(f, al, av, mode)
     evaluate(f, av + _TERMINAL_OFFSET, av)
     jump = f.jump_at_terminal
     if mode is TerminalMode.CORRECTED and jump:
@@ -441,13 +404,11 @@ def deriv_at_terminal(
     return EvalResult.of(slope if al == 1.0 else 0.0, 0.0)
 
 
-def _terminal_from_mesh(
-    f: FuncSpec, al: float, av: float, mode: TerminalMode, sched: LimitSchedule
-) -> EvalResult:
+def _terminal_from_mesh(f: FuncSpec, al: float, av: float, mode: TerminalMode) -> EvalResult:
     """`deriv_at_terminal` by extrapolation along the terminal mesh."""
     if mode is TerminalMode.ORIGINAL:
         try:
-            val, err, why = right_limit(lambda h: _closed_value(f, al, av, av + h), sched)
+            val, err, why = right_limit(lambda h: _closed_value(f, al, av, av + h))
         except NonDifferentiableError as exc:
             return EvalResult.does_not_exist(
                 f"not differentiable arbitrarily close to the terminal: {exc}"
@@ -458,7 +419,7 @@ def _terminal_from_mesh(
             )
         return EvalResult.of(val, err)
     f_at_a = evaluate(f, av, av)
-    val, err, why = right_limit(lambda h: (evaluate(f, av + h, av) - f_at_a) / h, sched)
+    val, err, why = right_limit(lambda h: (evaluate(f, av + h, av) - f_at_a) / h)
     if why is not None:
         return EvalResult.does_not_exist(
             f"right first derivative does not exist at the terminal: {why}"

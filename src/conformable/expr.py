@@ -622,20 +622,16 @@ def _compiled(body: Expr, pair: bool) -> Callable:
     return fn
 
 
-def _code(f: FuncSpec | Expr, pair: bool) -> Callable:
-    if not isinstance(f, FuncSpec):
-        return _compiled(f, pair)
-    attr = "_pair_code" if pair else "_float_code"
-    fn = getattr(f, attr)
-    if fn is None:
-        fn = _compiled(f.body, pair)
-        object.__setattr__(f, attr, fn)
+def _code(f: FuncSpec, pair: bool) -> Callable:
+    """One path of f's body, kept on the spec for its later evaluations."""
+    fn = _compiled(f.body, pair)
+    object.__setattr__(f, "_pair_code" if pair else "_float_code", fn)
     return fn
 
 
-def evaluate_body(f: FuncSpec | Expr, t: float) -> float:
+def evaluate_body(f: FuncSpec, t: float) -> float:
     """Evaluate the expression body at t, ignoring any jump decoration."""
-    fn = f._float_code if isinstance(f, FuncSpec) else None
+    fn = f._float_code
     if fn is None:
         fn = _code(f, False)
     try:
@@ -647,19 +643,19 @@ def evaluate_body(f: FuncSpec | Expr, t: float) -> float:
     return v
 
 
-def evaluate(f: FuncSpec | Expr, t: float, a: float) -> float:
+def evaluate(f: FuncSpec, t: float, a: float) -> float:
     """Evaluate f at t; a jump decoration applies only at t = a exactly."""
     v = evaluate_body(f, t)
-    if isinstance(f, FuncSpec) and f.jump_at_terminal is not None and t == a:
+    if f.jump_at_terminal is not None and t == a:
         v = v + f.jump_at_terminal
         if not math.isfinite(v):
             raise NonFiniteError(f"non-finite result {v!r} at t={t!r}")
     return v
 
 
-def evaluate_dual(f: FuncSpec | Expr, t: float) -> tuple[float, float]:
+def evaluate_dual(f: FuncSpec, t: float) -> tuple[float, float]:
     """Evaluate the pair (f(t), f'(t)) in forward mode; jump decorations are ignored."""
-    fn = f._pair_code if isinstance(f, FuncSpec) else None
+    fn = f._pair_code
     if fn is None:
         fn = _code(f, True)
     try:

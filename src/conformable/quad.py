@@ -15,9 +15,7 @@ import math
 from typing import Callable
 
 from .core import (
-    DEFAULT_SCHEDULE,
     EvalResult,
-    LimitSchedule,
     checked_interior,
     deriv_closed_form,
     deriv_limit,
@@ -170,7 +168,6 @@ def deriv_of_integral(
     a: float,
     t: float,
     cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
-    sched: LimitSchedule = DEFAULT_SCHEDULE,
 ) -> EvalResult:
     """Derivative (limit route) of x -> integral(f, alpha, a, x) at t.
 
@@ -195,7 +192,7 @@ def deriv_of_integral(
             return -_adaptive_quad(weighted, x, t, inner)[0]
         return _adaptive_quad(weighted, t, x, inner)[0]
 
-    return deriv_limit(g, al, av, t, sched)
+    return deriv_limit(g, al, av, t)
 
 
 def integral_of_deriv(

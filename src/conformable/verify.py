@@ -20,9 +20,7 @@ import json
 from typing import Sequence
 
 from .core import (
-    DEFAULT_SCHEDULE,
     EvalResult,
-    LimitSchedule,
     TerminalMode,
     deriv_at_terminal,
     deriv_closed_form,
@@ -31,7 +29,7 @@ from .core import (
     right_limit,
 )
 from .expr import BinOp, Const, FuncSpec, evaluate, evaluate_body, parse
-from .quad import DEFAULT_QUAD_CONFIG, QuadConfig, deriv_of_integral, integral_of_deriv
+from .quad import DEFAULT_QUAD_CONFIG, deriv_of_integral, integral_of_deriv
 from .record import Record
 
 __all__ = [
@@ -121,20 +119,23 @@ class HarnessConfig(Record):
     # thinner grid that still spans near-terminal and far-field regimes.
     composition_alphas: tuple[float, ...] = (0.25, 0.5, 0.9, 1.0)
     composition_offsets: tuple[float, ...] = (0.1, 1.0, 4.0)
-    quad: QuadConfig = DEFAULT_QUAD_CONFIG
-    schedule: LimitSchedule = DEFAULT_SCHEDULE
-    linearity_rtol: float = 1e-8
-    product_rtol: float = 1e-7
-    quotient_rtol: float = 1e-7
-    order_rtol: float = 1e-9
-    route_tol: float = 1e-6
-    inverse_tol: float = 1e-6
-    terminal_tol: float = 1e-6
-    jump_counterexample_tol: float = 1e-9
-    continuity_osc_tol: float = 1e-6
 
 
 DEFAULT_CONFIG = HarnessConfig()
+
+# Acceptance tolerances, echoed in this order under the report's config.
+_TOL = {
+    "linearity_rtol": 1e-8,
+    "product_rtol": 1e-7,
+    "quotient_rtol": 1e-7,
+    "order_rtol": 1e-9,
+    "route_tol": 1e-6,
+    "inverse_tol": 1e-6,
+    "terminal_tol": 1e-6,
+    "jump_counterexample_tol": 1e-9,
+    "continuity_osc_tol": 1e-6,
+}
+_RULE_RTOL = {"+": _TOL["linearity_rtol"], "*": _TOL["product_rtol"], "/": _TOL["quotient_rtol"]}
 
 
 class Witness(Record):
@@ -262,9 +263,8 @@ _BINARY_RULES = (
 _ROUTE_KEYS = ("square", "sine", "exponential")
 
 
-def _rule_cases(funcs, config: HarnessConfig) -> list[tuple]:
+def _rule_cases(funcs) -> list[tuple]:
     """Each binary rule as (label, op, f, g, combined function, c, d, rtol)."""
-    rtols = {"+": config.linearity_rtol, "*": config.product_rtol, "/": config.quotient_rtol}
     cases = []
     for op, fk, gk, c, d in _BINARY_RULES:
         f, g = funcs[fk], funcs[gk]
@@ -273,7 +273,7 @@ def _rule_cases(funcs, config: HarnessConfig) -> list[tuple]:
             body = BinOp("+", BinOp("*", Const(c), f.body), BinOp("*", Const(d), g.body))
         else:
             label, body = f"{fk}{op}{gk}", BinOp(op, f.body, g.body)
-        cases.append((label, op, f, g, FuncSpec(body), c, d, rtols[op]))
+        cases.append((label, op, f, g, FuncSpec(body), c, d, _RULE_RTOL[op]))
     return cases
 
 
@@ -302,7 +302,7 @@ def check_algebra_rules(
     col = _Collector("algebra_rules", mode)
     for a in config.terminals:
         funcs = registry_for(a)
-        cases = _rule_cases(funcs, config)
+        cases = _rule_cases(funcs)
         for off in config.t_offsets:
             t = a + off
             for alpha in config.alphas:
@@ -319,12 +319,12 @@ def check_algebra_rules(
                     0.0, 1e-15,
                 )
         # Rule (v): the limit route against the weighted-f' closed form, on a
-        # thinner grid since each point drives a full limit schedule.
+        # thinner grid since each point drives a full limit extrapolation.
         for key in _ROUTE_KEYS:
             for alpha in (0.25, 0.75, 1.0):
                 for off in (0.1, 1.0, 4.0):
                     t = a + off
-                    lm = results(deriv_limit, funcs[key], alpha, a, t, config.schedule)
+                    lm = results(deriv_limit, funcs[key], alpha, a, t)
                     cf = deriv_closed_form(funcs[key], alpha, a, t)
                     col.require(
                         key, alpha, None, t, lm.exists and cf.exists,
@@ -333,7 +333,7 @@ def check_algebra_rules(
                     if lm.exists and cf.exists:
                         col.value(
                             key, alpha, None, t, lm.value, cf.value,
-                            max(config.route_tol, 10.0 * lm.err_estimate),
+                            max(_TOL["route_tol"], 10.0 * lm.err_estimate),
                         )
         if mode is TerminalMode.CORRECTED:
             _algebra_at_terminal(col, results, a, funcs, cases, config)
@@ -344,9 +344,7 @@ def check_algebra_rules(
 
 
 def _algebra_at_terminal(col: _Collector, results, a: float, funcs, cases, config) -> None:
-    term = lambda f, alpha: results(
-        deriv_at_terminal, f, alpha, a, TerminalMode.CORRECTED, config.schedule
-    )
+    term = lambda f, alpha: results(deriv_at_terminal, f, alpha, a, TerminalMode.CORRECTED)
     for alpha in config.alphas:
         for case in cases:
             label, _, f, g, combined, _, _, rtol = case
@@ -364,7 +362,7 @@ def _algebra_at_terminal(col: _Collector, results, a: float, funcs, cases, confi
         if alpha < 1.0:
             for key in _ROUTE_KEYS:
                 r = term(funcs[key], alpha)
-                col.result(key, alpha, None, a, r, "value(0)", 0.0, config.terminal_tol)
+                col.result(key, alpha, None, a, r, "value(0)", 0.0, _TOL["terminal_tol"])
 
 
 def check_order_relation(
@@ -398,7 +396,7 @@ def check_order_relation(
                         converted = order_convert(derivs[beta], alpha, beta, a, t)
                         col.value(
                             key, alpha, beta, t, converted, derivs[alpha],
-                            _scale_tol(config.order_rtol, derivs[alpha]),
+                            _scale_tol(_TOL["order_rtol"], derivs[alpha]),
                         )
         if mode is TerminalMode.ORIGINAL:
             _case_split_original(col, results, a, funcs, config)
@@ -406,7 +404,7 @@ def check_order_relation(
         for entry in REGISTRY:
             f = funcs[entry.key]
             for alpha in config.alphas:
-                r = results(deriv_at_terminal, f, alpha, a, mode, config.schedule)
+                r = results(deriv_at_terminal, f, alpha, a, mode)
                 col.require(
                     entry.key, alpha, None, a, r.exists == entry.right_differentiable,
                     _shown(r), "exists iff right first derivative exists",
@@ -418,16 +416,16 @@ def check_order_relation(
 
 def _case_split_original(col: _Collector, results, a: float, funcs, config) -> None:
     term = lambda key, alpha: results(
-        deriv_at_terminal, funcs[key], alpha, a, TerminalMode.ORIGINAL, config.schedule
+        deriv_at_terminal, funcs[key], alpha, a, TerminalMode.ORIGINAL
     )
     for key, gamma, at_value in (("power_04", 0.4, 0.4), ("power_05", 0.5, 1.0)):
         for beta in config.alphas:
             r = term(key, beta)
             if beta < gamma:
-                col.result(key, None, beta, a, r, "value(0)", 0.0, config.terminal_tol)
+                col.result(key, None, beta, a, r, "value(0)", 0.0, _TOL["terminal_tol"])
             elif beta == gamma:
                 col.result(
-                    key, None, beta, a, r, f"value({at_value})", at_value, config.terminal_tol
+                    key, None, beta, a, r, f"value({at_value})", at_value, _TOL["terminal_tol"]
                 )
             else:
                 col.require(key, None, beta, a, not r.exists, _shown(r), "does-not-exist")
@@ -437,7 +435,7 @@ def _case_split_original(col: _Collector, results, a: float, funcs, config) -> N
             if alpha == 1.0:
                 continue
             r = term(key, alpha)
-            col.result(key, alpha, None, a, r, "value(0)", 0.0, config.terminal_tol)
+            col.result(key, alpha, None, a, r, "value(0)", 0.0, _TOL["terminal_tol"])
 
 
 def _conversion_at_terminal(col: _Collector, results, key: str, f, a: float, mode, config) -> None:
@@ -447,12 +445,12 @@ def _conversion_at_terminal(col: _Collector, results, key: str, f, a: float, mod
     the lower order must read zero wherever both orders exist.
     """
     for alpha in config.alphas:
-        ra = results(deriv_at_terminal, f, alpha, a, mode, config.schedule)
+        ra = results(deriv_at_terminal, f, alpha, a, mode)
         for beta in config.alphas:
             if beta < alpha and ra.exists:
-                rb = results(deriv_at_terminal, f, beta, a, mode, config.schedule)
+                rb = results(deriv_at_terminal, f, beta, a, mode)
                 if rb.exists:
-                    col.value(key, alpha, beta, a, rb.value, 0.0 * ra.value, config.terminal_tol)
+                    col.value(key, alpha, beta, a, rb.value, 0.0 * ra.value, _TOL["terminal_tol"])
 
 
 def check_inverses(
@@ -473,19 +471,17 @@ def check_inverses(
                     if entry.kink_offset is not None and abs(off - entry.kink_offset) < 0.25:
                         continue
                     if entry.jump is None:  # left inverse needs continuity on [a, t]
-                        r = results(
-                            deriv_of_integral, f, alpha, a, t, config.quad, config.schedule
-                        )
+                        r = results(deriv_of_integral, f, alpha, a, t)
                         col.result(
                             f"T(I {entry.key})", alpha, None, t, r,
-                            "value(f(t))", evaluate(f, t, a), config.inverse_tol,
+                            "value(f(t))", evaluate(f, t, a), _TOL["inverse_tol"],
                         )
                     if entry.kink_offset is not None:
                         continue  # not differentiable throughout (a, t]
-                    r = results(integral_of_deriv, f, alpha, a, t, config.quad)
+                    r = results(integral_of_deriv, f, alpha, a, t)
                     col.result(
                         f"I(T {entry.key})", alpha, None, t, r, "value(f(t) - f(a+))",
-                        evaluate(f, t, a) - evaluate_body(f, a), config.inverse_tol,
+                        evaluate(f, t, a) - evaluate_body(f, a), _TOL["inverse_tol"],
                     )
                     if not r.exists:
                         continue
@@ -495,7 +491,7 @@ def check_inverses(
                         col.value(
                             f"I(T {entry.key}) vs f(t)-f(a)", alpha, None, t,
                             r.value - naive, entry.jump,
-                            config.jump_counterexample_tol,
+                            _TOL["jump_counterexample_tol"],
                         )
                     elif (
                         mode is TerminalMode.ORIGINAL and entry.continuous_at_terminal
@@ -503,7 +499,7 @@ def check_inverses(
                         col.value(
                             f"I(T {entry.key}) vs f(t)-f(a)", alpha, None, t,
                             r.value, evaluate(f, t, a) - evaluate(f, a, a),
-                            config.inverse_tol,
+                            _TOL["inverse_tol"],
                         )
     return col.outcome()
 
@@ -523,14 +519,14 @@ def check_continuity_implication(
         funcs = registry_for(a)
         for entry in REGISTRY:
             f = funcs[entry.key]
-            r = results(deriv_at_terminal, f, 0.5, a, mode, config.schedule)
+            r = results(deriv_at_terminal, f, 0.5, a, mode)
             # Right oscillation: the gap between the extrapolated right limit
             # of f and its assigned value at the terminal.
-            limit, _, why = right_limit(lambda h: evaluate(f, a + h, a), config.schedule)
+            limit, _, why = right_limit(lambda h: evaluate(f, a + h, a))
             if why is None:
                 oscillation = abs(limit - evaluate(f, a, a))
                 shown_osc = f"{oscillation:.6g}"
-                continuous = oscillation <= config.continuity_osc_tol
+                continuous = oscillation <= _TOL["continuity_osc_tol"]
             else:
                 shown_osc = "no finite right limit"
                 continuous = False
@@ -586,9 +582,7 @@ def check_terminal_checklist(
     )
     for a in config.terminals:
         funcs = registry_for(a)
-        term = lambda key, alpha: results(
-            deriv_at_terminal, funcs[key], alpha, a, mode, config.schedule
-        )
+        term = lambda key, alpha: results(deriv_at_terminal, funcs[key], alpha, a, mode)
         for alpha in config.alphas:
             base, dec = term("identity", alpha), term("jump_identity", alpha)
             differs = base.exists != dec.exists or (
@@ -609,9 +603,7 @@ def check_terminal_checklist(
             rs = [term(key, alpha) for alpha in config.alphas]
             # The right-derivative oracle: the corrected order-1 evaluation is
             # exactly that quotient limit.
-            rd = results(
-                deriv_at_terminal, funcs[key], 1.0, a, TerminalMode.CORRECTED, config.schedule
-            )
+            rd = results(deriv_at_terminal, funcs[key], 1.0, a, TerminalMode.CORRECTED)
             existing = [al for al, r in zip(config.alphas, rs) if r.exists]
             missing = [al for al, r in zip(config.alphas, rs) if not r.exists]
             uniform.require(
@@ -639,7 +631,7 @@ def check_terminal_checklist(
                         "weighted-f' form must extend to the terminal",
                     )
                     if r.exists and rd.exists:
-                        conversion.value(key, alpha, None, a, r.value, 0.0, config.terminal_tol)
+                        conversion.value(key, alpha, None, a, r.value, 0.0, _TOL["terminal_tol"])
             _conversion_at_terminal(conversion, results, key, funcs[key], a, mode, config)
             r1 = term(key, 1.0)
             order_one.require(
@@ -648,7 +640,7 @@ def check_terminal_checklist(
                 "order-1 derivative must equal f'(a)",
             )
             if r1.exists and rd.exists:
-                order_one.value(key, 1.0, None, a, r1.value, rd.value, config.terminal_tol)
+                order_one.value(key, 1.0, None, a, r1.value, rd.value, _TOL["terminal_tol"])
     skipped = CheckOutcome(
         "naturalness", mode, "skipped", reason="qualitative criterion; not machine-checkable"
     )
@@ -691,11 +683,10 @@ def _registry_hash() -> str:
 
 
 def _config_echo(config: HarnessConfig) -> dict:
-    """The config as plain data, its tolerance fields grouped under "tolerances"."""
+    """The grid as plain data, then the quadrature defaults and the tolerances."""
     echo = config.as_dict()
-    echo["quad"] = config.quad.as_dict()
-    echo["schedule"] = config.schedule.as_dict()
-    echo["tolerances"] = {k: echo.pop(k) for k in list(echo) if k.endswith("tol")}
+    echo["quad"] = DEFAULT_QUAD_CONFIG.as_dict()
+    echo["tolerances"] = dict(_TOL)
     return echo
 
 

@@ -82,6 +82,18 @@ def test_deriv_terminal_of_smooth_functions(capsys, argv, printed):
     assert out == printed
 
 
+@pytest.mark.parametrize("argv", [
+    ["--alpha", "1", "--a", "0", "--t", "0", "--mode", "original"],
+    ["--alpha", "1", "--a", "0", "--t", "0", "--mode", "corrected"],
+    ["--alpha", "0.5", "--a=-1", "--t", "0"],
+], ids=["terminal-original", "terminal-corrected", "interior"])
+def test_deriv_never_prints_a_negative_zero(capsys, argv):
+    # f'(0) = -sin(0) = -0.0 for cos(t); the printed value is +0.
+    code, out, _ = run(capsys, "deriv", "--expr", "cos(t)", *argv)
+    assert code == 0
+    assert out == "value=0 err=0\n"
+
+
 def test_deriv_limit_of_fast_varying_function(capsys):
     code, out, _ = run(
         capsys, "deriv", "--expr", "cos(exp(t))", "--alpha", "0.8", "--a", "1",
@@ -447,6 +459,15 @@ def test_sweep_alpha_endpoints_are_pinned(capsys):
     assert len(rows) == 14
     assert float(rows[0]["param"]) == 0.1
     assert float(rows[-1]["param"]) == 1.0
+
+
+def test_sweep_never_writes_a_negative_zero(capsys):
+    code, out, _ = run(
+        capsys, "sweep", "--var", "alpha", "--start", "0.5", "--stop", "1", "--steps", "2",
+        "--expr", "cos(t)", "--a", "0", "--t", "0",
+    )
+    assert code == 0
+    assert out.splitlines() == ["param,value,err,status", "0.5,0,0,ok", "1,0,0,ok"]
 
 
 def test_sweep_through_a_domain_error_writes_every_row(capsys):

@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conformable import (
-    DEFAULT_SCHEDULE,
     EvalResult,
     FuncSpec,
-    LimitSchedule,
     TerminalMode,
     deriv_at_terminal,
     deriv_closed_form,
@@ -69,17 +67,6 @@ def test_order_accepts_boundary():
 def test_terminal_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="lower terminal a must be finite"):
         core._checked_terminal(bad)
-
-
-def test_limit_schedule_validation():
-    with pytest.raises(ValueError):
-        LimitSchedule(theta0=-1.0)
-    with pytest.raises(ValueError):
-        LimitSchedule(shrink=1.0)
-    with pytest.raises(ValueError):
-        LimitSchedule(levels=2)
-    with pytest.raises(ValueError):
-        LimitSchedule(cauchy_tol=0.0)
 
 
 def test_eval_result_invariants():
@@ -191,12 +178,6 @@ def test_limit_requires_interior_point():
         deriv_limit(F("t"), 0.5, 0.0, 0.0)
 
 
-def test_limit_rejects_underflowing_schedule():
-    sched = LimitSchedule(theta0=1e-12, shrink=0.5, levels=12)
-    with pytest.raises(PreconditionError):
-        deriv_limit(F("t"), 0.5, 0.0, 4.0, sched)
-
-
 def test_limit_far_from_zero_falls_back_to_largest_step():
     # At t = 200 the automatic step 1e-2 * 0.5^12 is below sqrt(eps) * 200;
     # the route retries with theta0 = 0.5 * (t - a) / weight.
@@ -228,9 +209,6 @@ def test_limit_retries_once_with_smaller_steps_when_not_cauchy():
     r = deriv_limit(f, 0.8, 1.0, 11.0)
     assert r.exists, r.reason
     assert abs(r.value - cf) <= 1e-6 * abs(cf)
-    # An explicit theta0 is used as given: no retry.
-    r = deriv_limit(f, 0.8, 1.0, 11.0, LimitSchedule(theta0=0.1))
-    assert r.reason == "extrapolated difference quotients are not Cauchy"
 
 
 def test_limit_accepts_callable():
@@ -383,10 +361,8 @@ def test_right_limit_of_convergent_input_is_the_extrapolated_mesh():
     limit, err, why = right_limit(g)
     assert why is None
     assert abs(limit - 2.0) <= 1e-12
-    mesh = [g(1e-2 * 0.5**k) for k in range(DEFAULT_SCHEDULE.levels)]
-    assert (limit, err, why) == core._limit_of_power_sequence(
-        mesh, 2.0, DEFAULT_SCHEDULE.cauchy_tol, DEFAULT_SCHEDULE.divergence_cap
-    )
+    mesh = [g(1e-2 * 0.5**k) for k in range(12)]
+    assert (limit, err, why) == core._limit_of_power_sequence(mesh)
 
 
 def test_right_limit_of_oscillating_input_does_not_exist():
@@ -402,8 +378,8 @@ def test_right_limit_uses_the_schedule_mesh():
         offsets.append(h)
         return 1.0 + math.sqrt(h)
 
-    limit, _, why = right_limit(g, LimitSchedule(shrink=0.25, levels=10))
-    assert offsets == [1e-2 * 0.25**k for k in range(10)]
+    limit, _, why = right_limit(g)
+    assert offsets == [1e-2 * 0.5**k for k in range(12)]
     assert why is None
     assert abs(limit - 1.0) <= 1e-12
 
@@ -472,7 +448,7 @@ def test_terminal_forward_refused_inputs_keep_the_mesh_answer(source):
     for mode in (ORIGINAL, CORRECTED):
         for alpha in (0.3, 0.4, 0.5, 1.0):
             assert deriv_at_terminal(f, alpha, 1.0, mode) == core._terminal_from_mesh(
-                f, alpha, 1.0, mode, DEFAULT_SCHEDULE
+                f, alpha, 1.0, mode
             )
 
 
@@ -530,10 +506,11 @@ def test_terminal_smooth_functions_vanish_below_order_one():
             assert r1.exists and r1.value == pytest.approx(fprime(a), abs=1e-6)
 
 
-def _smooth_trees():
+def _smooth_trees(kinks: bool = True):
     """Random bodies built from t, small constants, + - * /, sin, cos, exp
-    of a sine or cosine and abs: bounded values and curvature near the
-    terminals, kinks only where an abs argument vanishes."""
+    of a sine or cosine and, with ``kinks``, abs: bounded values and
+    curvature near the terminals, kinks only where an abs argument vanishes."""
+    calls = ["sin", "cos", "abs"] if kinks else ["sin", "cos"]
     leaves = st.one_of(st.just(Var()), st.sampled_from([0.5, 1.0, 2.0]).map(Const))
 
     def grow(sub):
@@ -543,7 +520,7 @@ def _smooth_trees():
                 lambda x: BinOp("/", x[0], Call("exp", Call(x[1], x[0])))
             ),
             sub.map(Neg),
-            st.tuples(st.sampled_from(["sin", "cos", "abs"]), sub).map(lambda x: Call(*x)),
+            st.tuples(st.sampled_from(calls), sub).map(lambda x: Call(*x)),
             st.tuples(st.sampled_from(["sin", "cos"]), sub).map(
                 lambda x: Call("exp", Call(*x))
             ),
@@ -568,13 +545,29 @@ def test_terminal_forward_route_properties(body, a, alpha):
     corrected = deriv_at_terminal(f, alpha, a, CORRECTED)
     expected = slope if alpha == 1.0 else 0.0
     assert corrected == EvalResult.of(expected, 0.0)
-    assert struct.pack("<d", corrected.value) == struct.pack("<d", expected)
+    assert struct.pack("<d", corrected.value) == struct.pack("<d", expected + 0.0)
     assert deriv_at_terminal(f, alpha, a, ORIGINAL) == corrected
     assert deriv_at_terminal(f_jump, alpha, a, ORIGINAL) == corrected
     assert not deriv_at_terminal(f_jump, alpha, a, CORRECTED).exists
     h = 1e-7
     quotient = (evaluate_body(f, a + h) - value) / h
     assert abs(quotient - slope) <= 1e-5 * max(1.0, abs(slope))
+
+
+@settings(max_examples=300)
+@given(
+    body=_smooth_trees(kinks=False),
+    a=st.sampled_from([-2.0, 0.0, 1.0]),
+    alpha=st.sampled_from([0.1, 0.25, 0.5, 0.9, 1.0]),
+    offset=st.sampled_from([1e-3, 0.1, 1.0, 4.0, 10.0]),
+)
+def test_limit_route_agrees_with_closed_form(body, a, alpha, offset):
+    f = FuncSpec(body)
+    t = a + offset
+    cf = deriv_closed_form(f, alpha, a, t).value
+    r = deriv_limit(f, alpha, a, t)
+    assert r.exists, r.reason
+    assert abs(r.value - cf) <= 1e-6 * max(1.0, abs(cf))
 
 
 def test_modes_agree_away_from_terminal():

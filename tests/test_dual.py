@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conformable.errors import DomainError, NonDifferentiableError
-from conformable.expr import evaluate_dual, parse
+from conformable.expr import FuncSpec, evaluate_dual, parse
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -20,7 +20,7 @@ def _lin(value: float, deriv: float) -> str:
 
 
 def _pair(source: str, t: float = 0.0) -> tuple[float, float]:
-    return evaluate_dual(parse(source), t)
+    return evaluate_dual(FuncSpec(parse(source)), t)
 
 
 @given(finite, finite, finite, finite)

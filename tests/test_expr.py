@@ -433,8 +433,9 @@ def _outcome(fn, *args):
 
 
 def _assert_matches_reference(node, t):
-    assert _outcome(evaluate_body, node, t) == _outcome(_reference_body, node, t)
-    assert _outcome(evaluate_dual, node, t) == _outcome(_reference_dual, node, t)
+    f = FuncSpec(node)
+    assert _outcome(evaluate_body, f, t) == _outcome(_reference_body, node, t)
+    assert _outcome(evaluate_dual, f, t) == _outcome(_reference_dual, node, t)
 
 
 _CONSTANTS = st.one_of(
@@ -505,7 +506,7 @@ def test_compiled_matches_reference_at_edges(source, t, float_outcome, pair_outc
     node = parse(source)
     _assert_matches_reference(node, t)
     for fn, expected in ((evaluate_body, float_outcome), (evaluate_dual, pair_outcome)):
-        assert _outcome(fn, node, t)[0] == expected
+        assert _outcome(fn, FuncSpec(node), t)[0] == expected
 
 
 @pytest.mark.parametrize(
@@ -513,7 +514,7 @@ def test_compiled_matches_reference_at_edges(source, t, float_outcome, pair_outc
     [("t^0", 1.0, 0.0), ("t^1", 0.0, 1.0), ("t^2.5", 0.0, 0.0), ("t^2", 0.0, 0.0)],
 )
 def test_zero_base_power_values(source, value, deriv):
-    assert evaluate_dual(parse(source), 0.0) == (value, deriv)
+    assert evaluate_dual(FuncSpec(parse(source)), 0.0) == (value, deriv)
 
 
 def test_negative_constants_in_hand_built_trees():

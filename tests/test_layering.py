@@ -1,7 +1,11 @@
-"""The modules of the package share only public names."""
+"""The modules of the package share only public names, and the public
+operators take no setting beyond their pinned parameters."""
 
 import ast
+import inspect
 from pathlib import Path
+
+from conformable import core, expr, quad, verify
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "conformable"
 
@@ -37,3 +41,27 @@ def test_no_module_imports_dataclasses():
                 continue
             offenders += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "dataclasses"]
     assert offenders == []
+
+
+
+# The parameters of every public operator: a new option shows up here as an edit.
+SIGNATURES = {
+    core.deriv_closed_form: ("f", "alpha", "a", "t"),
+    core.deriv_limit: ("f", "alpha", "a", "t"),
+    quad.integral: ("f", "alpha", "a", "t", "cfg"),
+    quad.deriv_of_integral: ("f", "alpha", "a", "t", "cfg"),
+    quad.integral_of_deriv: ("f", "alpha", "a", "t", "cfg"),
+    core.deriv_at_terminal: ("f", "alpha", "a", "mode"),
+    core.right_limit: ("g",),
+    expr.evaluate: ("f", "t", "a"),
+    expr.evaluate_body: ("f", "t"),
+    expr.evaluate_dual: ("f", "t"),
+}
+
+
+def test_public_operators_take_only_their_inputs():
+    for fn, names in SIGNATURES.items():
+        assert tuple(inspect.signature(fn).parameters) == names, fn.__name__
+    assert verify.HarnessConfig._fields == (
+        "alphas", "t_offsets", "terminals", "composition_alphas", "composition_offsets",
+    )

@@ -8,7 +8,7 @@ import pickle
 
 import pytest
 
-from conformable.core import EvalResult, LimitSchedule, TerminalMode
+from conformable.core import EvalResult, TerminalMode
 from conformable.expr import BinOp, Call, Const, FuncSpec, FunctionDef, Neg, Var, _Token, parse
 from conformable.quad import QuadConfig
 from conformable.record import Record
@@ -30,7 +30,6 @@ CASES = [
     (FuncSpec, (parse("t^2"),), (parse("t^2"), None)),
     (FunctionDef, ("sin", math.sin), ("sin", math.sin, None)),
     (_Token, ("op", "+", 3), ("op", "+", 3, 0.0)),
-    (LimitSchedule, (), (None, 0.5, 12, 1e-8, 1e12)),
     (EvalResult, (2.0, 0.0), (2.0, 0.0, None)),
     (QuadConfig, (), (1e-10, 1e-9, 2000)),
     (RegistryEntry, ("one", "1"), ("one", "1", None, True, True, True, None)),
@@ -39,8 +38,7 @@ CASES = [
         (),
         (
             (0.1, 0.25, 0.4, 0.5, 0.75, 0.9, 1.0), (1e-3, 0.1, 1.0, 4.0), (0.0, 1.0, -2.0),
-            (0.25, 0.5, 0.9, 1.0), (0.1, 1.0, 4.0), QuadConfig(), LimitSchedule(),
-            1e-8, 1e-7, 1e-7, 1e-9, 1e-6, 1e-6, 1e-6, 1e-9, 1e-6,
+            (0.25, 0.5, 0.9, 1.0), (0.1, 1.0, 4.0),
         ),
     ),
     (
