@@ -135,12 +135,6 @@ def positive_power(base: float, expo: float) -> float:
     return math.exp(expo * math.log(base))
 
 
-def _point(f: Func, x: float, a: float) -> float:
-    if isinstance(f, FuncSpec):
-        return evaluate(f, x, a)
-    return f(x)
-
-
 # --------------------------------------------------------------------------
 # Extrapolation helpers
 # --------------------------------------------------------------------------
@@ -197,13 +191,14 @@ def _limit_of_power_sequence(values: Sequence[float]) -> tuple[float | None, flo
     if abs(diffs[-1]) <= tiny and abs(diffs[-2]) <= tiny:
         return values[-1], max(abs(diffs[-1]), _EPS * scale), None
     usable = _usable_ratios(diffs, tiny)
-    if len(usable) < 1:
-        # Cannot form contraction ratios; fall back to a plain Cauchy test.
+    if usable and usable[-1] >= 1.0:
+        return None, 0.0, "mesh values do not contract toward a limit"
+    if len(usable) < 2:
+        # One ratio cannot show a contraction (a three-entry window would fit
+        # it exactly); fall back to a plain Cauchy test.
         if abs(diffs[-1]) <= _CAUCHY_TOL * max(1.0, abs(values[-1])):
             return values[-1], abs(diffs[-1]), None
         return None, 0.0, "mesh values did not stabilize"
-    if usable[-1] >= 1.0:
-        return None, 0.0, "mesh values do not contract toward a limit"
     # The ratio sequence approaches ratio**-p with an integer-power error
     # ladder in h; Richardson steps on the ratios sharpen the contraction
     # estimate to O(h^2) or O(h^3) depending on how many are usable.
@@ -211,10 +206,8 @@ def _limit_of_power_sequence(values: Sequence[float]) -> tuple[float | None, flo
         s1 = (ratio * usable[-2] - usable[-3]) / (ratio - 1.0)
         s2 = (ratio * usable[-1] - usable[-2]) / (ratio - 1.0)
         rho = (ratio**2 * s2 - s1) / (ratio**2 - 1.0)
-    elif len(usable) == 2:
-        rho = (ratio * usable[-1] - usable[-2]) / (ratio - 1.0)
     else:
-        rho = usable[-1]
+        rho = (ratio * usable[-1] - usable[-2]) / (ratio - 1.0)
     if not math.isfinite(rho) or rho >= 0.995 or rho <= -1.0:
         return None, 0.0, "mesh values do not contract toward a limit"
     if abs(rho) < 1e-3:
@@ -320,13 +313,14 @@ def deriv_limit(f: Func, alpha: float, a: float, t: float) -> EvalResult:
         raise PreconditionError(
             "the smallest limit step underflows into rounding noise at this point"
         )
-    f0 = _point(f, t, av)
-    r = _limit_from_quotients(f, av, t, f0, weight, theta0)
+    point = (lambda x: evaluate(f, x, av)) if isinstance(f, FuncSpec) else f
+    f0 = point(t)
+    r = _limit_from_quotients(point, t, f0, weight, theta0)
     if r.reason == _NOT_CAUCHY:
         # f may vary faster than the first steps resolve.
         retry = max(1e-2 * theta0, 2.0 * floor / _SHRINK**_LEVELS)
         if retry < theta0:
-            r = _limit_from_quotients(f, av, t, f0, weight, retry)
+            r = _limit_from_quotients(point, t, f0, weight, retry)
     return r
 
 
@@ -334,7 +328,7 @@ _NOT_CAUCHY = "extrapolated difference quotients are not Cauchy"
 
 
 def _limit_from_quotients(
-    f: Func, av: float, t: float, f0: float, weight: float, theta0: float
+    point: PointFunc, t: float, f0: float, weight: float, theta0: float
 ) -> EvalResult:
     """`deriv_limit` from the quotients at theta0 * _SHRINK^k, k < _LEVELS."""
     forward: list[float] = []
@@ -342,8 +336,8 @@ def _limit_from_quotients(
     theta = theta0
     for _ in range(_LEVELS):
         step = theta * weight
-        fp = _point(f, t + step, av)
-        fm = _point(f, t - step, av)
+        fp = point(t + step)
+        fm = point(t - step)
         forward.append((fp - f0) / theta)
         backward.append((f0 - fm) / theta)
         theta *= _SHRINK

@@ -111,7 +111,17 @@ def _adaptive_quad(
     panels = [(-err, lo, hi, val, err)]
     total_val, total_err = val, err
     splits = 0
-    while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
+    while True:
+        if not total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
+            # The running totals can absorb small panels beside a huge one that
+            # was later split; stop only when the leaf sums, which are returned,
+            # meet the tolerance too.
+            total_val = total_err = 0.0
+            for _, _, _, v, e in sorted(panels, key=lambda p: p[1]):
+                total_val += v
+                total_err += e
+            if not total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
+                break
         if splits >= cfg.max_subdivisions:
             raise ConvergenceError(
                 f"quadrature tolerances not met within {cfg.max_subdivisions} subdivisions"
@@ -129,13 +139,27 @@ def _adaptive_quad(
         splits += 1
     if not (math.isfinite(total_val) and math.isfinite(total_err)):
         raise ConvergenceError("quadrature diverged: value or error bound is not finite")
-    leaves = sorted(panels, key=lambda p: p[1])
-    value = 0.0
-    bound = 0.0
-    for _, _, _, v, e in leaves:
-        value += v
-        bound += e
-    return value, bound
+    return total_val, total_err
+
+
+def _substituted(
+    point: Callable[[FuncSpec, float], float],
+    f: FuncSpec,
+    al: float,
+    av: float,
+    t: float,
+    cfg: QuadConfig,
+) -> tuple[float, float]:
+    """`_adaptive_quad`'s (value, bound) for ∫_a^t (s-a)^(al-1) point(f, s) ds,
+    taken as (1/al) ∫_0^((t-a)^al) point(f, a + u^(1/al)) du."""
+    upper = positive_power(t - av, al)
+    inv_alpha = 1.0 / al
+
+    def fn(u: float) -> float:
+        s = av + (math.pow(u, inv_alpha) if u > 0.0 else 0.0)
+        return inv_alpha * point(f, s)
+
+    return _adaptive_quad(fn, 0.0, upper, cfg)
 
 
 def integral(
@@ -151,57 +175,37 @@ def integral(
     single point of measure zero and never the integral.
     """
     al, av, t = checked_interior(alpha, a, t)
-    upper = positive_power(t - av, al)
-    inv_alpha = 1.0 / al
-
-    def fn(u: float) -> float:
-        s = av + (math.pow(u, inv_alpha) if u > 0.0 else 0.0)
-        return inv_alpha * evaluate_body(f, s)
-
-    value, bound = _adaptive_quad(fn, 0.0, upper, cfg)
+    value, bound = _substituted(evaluate_body, f, al, av, t, cfg)
     return EvalResult.of(value, bound)
 
 
-def deriv_of_integral(
-    f: FuncSpec,
-    alpha: float,
-    a: float,
-    t: float,
-    cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
-) -> EvalResult:
+# Each probe of `deriv_of_integral` integrates to tolerances far below the
+# Cauchy threshold, so jitter never reads as a missing limit.
+_PROBE_CONFIG = QuadConfig(1e-13, 1e-13, 2000)
+
+
+def deriv_of_integral(f: FuncSpec, alpha: float, a: float, t: float) -> EvalResult:
     """Derivative (limit route) of x -> integral(f, alpha, a, x) at t.
 
     For f continuous on [a, t] the result reproduces f(t).
     """
     al, av, t = checked_interior(alpha, a, t)
     # I(t) is computed only so that a divergent or undefined integral raises.
-    # Each probe integrates over [t, x] alone, so nothing large cancels, and to
-    # tolerances far below the Cauchy threshold: jitter never reads as a missing limit.
-    integral(f, al, av, t, cfg)
-    inner = QuadConfig(
-        abs_tol=min(cfg.abs_tol, 1e-13),
-        rel_tol=min(cfg.rel_tol, 1e-13),
-        max_subdivisions=cfg.max_subdivisions,
-    )
+    # Each probe integrates over [t, x] alone, so nothing large cancels.
+    integral(f, al, av, t)
 
     def weighted(s: float) -> float:
         return positive_power(s - av, al - 1.0) * evaluate_body(f, s)
 
     def g(x: float) -> float:
         if x < t:
-            return -_adaptive_quad(weighted, x, t, inner)[0]
-        return _adaptive_quad(weighted, t, x, inner)[0]
+            return -_adaptive_quad(weighted, x, t, _PROBE_CONFIG)[0]
+        return _adaptive_quad(weighted, t, x, _PROBE_CONFIG)[0]
 
     return deriv_limit(g, al, av, t)
 
 
-def integral_of_deriv(
-    f: FuncSpec,
-    alpha: float,
-    a: float,
-    t: float,
-    cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
-) -> EvalResult:
+def integral_of_deriv(f: FuncSpec, alpha: float, a: float, t: float) -> EvalResult:
     """Integral of s -> deriv_closed_form(f, alpha, a, s) from a to t.
 
     Equals f(t) minus the right limit of f at a (and hence f(t) - f(a)
@@ -215,20 +219,17 @@ def integral_of_deriv(
         return EvalResult.does_not_exist(
             f"right limit of f at the lower terminal does not exist or is not finite: {why}"
         )
-    upper = positive_power(t - av, al)
-    inv_alpha = 1.0 / al
 
-    def fn(u: float) -> float:
-        s = av + (math.pow(u, inv_alpha) if u > 0.0 else 0.0)
+    def point(f: FuncSpec, s: float) -> float:
         if not s > av:
             return 0.0
         r = deriv_closed_form(f, al, av, s)
         if not r.exists:
             raise NonDifferentiableError(r.reason)
-        return inv_alpha * r.value
+        return r.value
 
     try:
-        value, bound = _adaptive_quad(fn, 0.0, upper, cfg)
+        value, bound = _substituted(point, f, al, av, t, DEFAULT_QUAD_CONFIG)
     except (NonDifferentiableError, NonFiniteError) as exc:
         return EvalResult.does_not_exist(
             f"integrand derivative does not exist inside the range: {exc}"

@@ -35,7 +35,6 @@ from .record import Record
 __all__ = [
     "CheckOutcome",
     "EXPECTED_STATUS",
-    "HarnessConfig",
     "RegistryEntry",
     "VerificationReport",
     "Witness",
@@ -108,20 +107,16 @@ def registry_for(a: float) -> dict[str, FuncSpec]:
 
 
 # --------------------------------------------------------------------------
-# Configuration and report types
+# Grid and report types
 # --------------------------------------------------------------------------
 
-class HarnessConfig(Record):
-    alphas: tuple[float, ...] = (0.1, 0.25, 0.4, 0.5, 0.75, 0.9, 1.0)
-    t_offsets: tuple[float, ...] = (1e-3, 0.1, 1.0, 4.0)
-    terminals: tuple[float, ...] = (0.0, 1.0, -2.0)
-    # Operator compositions cost quadratures per point; they run on a
-    # thinner grid that still spans near-terminal and far-field regimes.
-    composition_alphas: tuple[float, ...] = (0.25, 0.5, 0.9, 1.0)
-    composition_offsets: tuple[float, ...] = (0.1, 1.0, 4.0)
-
-
-DEFAULT_CONFIG = HarnessConfig()
+ALPHAS = (0.1, 0.25, 0.4, 0.5, 0.75, 0.9, 1.0)
+T_OFFSETS = (1e-3, 0.1, 1.0, 4.0)
+TERMINALS = (0.0, 1.0, -2.0)
+# Operator compositions cost quadratures per point; they run on a
+# thinner grid that still spans near-terminal and far-field regimes.
+COMPOSITION_ALPHAS = (0.25, 0.5, 0.9, 1.0)
+COMPOSITION_OFFSETS = (0.1, 1.0, 4.0)
 
 # Acceptance tolerances, echoed in this order under the report's config.
 _TOL = {
@@ -288,9 +283,7 @@ def _rule_rhs(case: tuple, x: float, a: float, df: float, dg: float) -> float:
     return (gv * df - fv * dg) / (gv * gv)
 
 
-def check_algebra_rules(
-    mode: TerminalMode, config: HarnessConfig = DEFAULT_CONFIG, results: _Results | None = None
-) -> CheckOutcome:
+def check_algebra_rules(mode: TerminalMode, results: _Results | None = None) -> CheckOutcome:
     """Linearity, product, quotient, constant, and the weighted-f' identity.
 
     Interior points are checked under both modes; the corrected convention
@@ -300,12 +293,12 @@ def check_algebra_rules(
     """
     results = _Results() if results is None else results
     col = _Collector("algebra_rules", mode)
-    for a in config.terminals:
+    for a in TERMINALS:
         funcs = registry_for(a)
         cases = _rule_cases(funcs)
-        for off in config.t_offsets:
+        for off in T_OFFSETS:
             t = a + off
-            for alpha in config.alphas:
+            for alpha in ALPHAS:
                 for case in cases:
                     label, _, f, g, combined, _, _, rtol = case
                     dfv = deriv_closed_form(f, alpha, a, t).value
@@ -336,16 +329,16 @@ def check_algebra_rules(
                             max(_TOL["route_tol"], 10.0 * lm.err_estimate),
                         )
         if mode is TerminalMode.CORRECTED:
-            _algebra_at_terminal(col, results, a, funcs, cases, config)
+            _algebra_at_terminal(col, results, a, funcs, cases)
     notes = ()
     if mode is TerminalMode.CORRECTED:
         notes = ("rule (v) is not asserted at the terminal for order 1",)
     return col.outcome(notes=notes)
 
 
-def _algebra_at_terminal(col: _Collector, results, a: float, funcs, cases, config) -> None:
+def _algebra_at_terminal(col: _Collector, results, a: float, funcs, cases) -> None:
     term = lambda f, alpha: results(deriv_at_terminal, f, alpha, a, TerminalMode.CORRECTED)
-    for alpha in config.alphas:
+    for alpha in ALPHAS:
         for case in cases:
             label, _, f, g, combined, _, _, rtol = case
             lhs = term(combined, alpha)
@@ -365,9 +358,7 @@ def _algebra_at_terminal(col: _Collector, results, a: float, funcs, cases, confi
                 col.result(key, alpha, None, a, r, "value(0)", 0.0, _TOL["terminal_tol"])
 
 
-def check_order_relation(
-    mode: TerminalMode, config: HarnessConfig = DEFAULT_CONFIG, results: _Results | None = None
-) -> CheckOutcome:
+def check_order_relation(mode: TerminalMode, results: _Results | None = None) -> CheckOutcome:
     """Conversion between orders at interior points, and its terminal form.
 
     Interior: derivatives of different orders convert through the weight
@@ -380,17 +371,17 @@ def check_order_relation(
     results = _Results() if results is None else results
     col = _Collector("order_relation", mode)
     smooth_keys = [e.key for e in REGISTRY if e.smooth and e.jump is None]
-    for a in config.terminals:
+    for a in TERMINALS:
         funcs = registry_for(a)
         for key in smooth_keys:
-            for off in config.t_offsets:
+            for off in T_OFFSETS:
                 t = a + off
                 derivs = {
                     alpha: deriv_closed_form(funcs[key], alpha, a, t).value
-                    for alpha in config.alphas
+                    for alpha in ALPHAS
                 }
-                for alpha in config.alphas:
-                    for beta in config.alphas:
+                for alpha in ALPHAS:
+                    for beta in ALPHAS:
                         if beta == alpha:
                             continue
                         converted = order_convert(derivs[beta], alpha, beta, a, t)
@@ -399,27 +390,27 @@ def check_order_relation(
                             _scale_tol(_TOL["order_rtol"], derivs[alpha]),
                         )
         if mode is TerminalMode.ORIGINAL:
-            _case_split_original(col, results, a, funcs, config)
+            _case_split_original(col, results, a, funcs)
             continue
         for entry in REGISTRY:
             f = funcs[entry.key]
-            for alpha in config.alphas:
+            for alpha in ALPHAS:
                 r = results(deriv_at_terminal, f, alpha, a, mode)
                 col.require(
                     entry.key, alpha, None, a, r.exists == entry.right_differentiable,
                     _shown(r), "exists iff right first derivative exists",
                 )
             if entry.right_differentiable:
-                _conversion_at_terminal(col, results, entry.key, f, a, mode, config)
+                _conversion_at_terminal(col, results, entry.key, f, a, mode)
     return col.outcome()
 
 
-def _case_split_original(col: _Collector, results, a: float, funcs, config) -> None:
+def _case_split_original(col: _Collector, results, a: float, funcs) -> None:
     term = lambda key, alpha: results(
         deriv_at_terminal, funcs[key], alpha, a, TerminalMode.ORIGINAL
     )
     for key, gamma, at_value in (("power_04", 0.4, 0.4), ("power_05", 0.5, 1.0)):
-        for beta in config.alphas:
+        for beta in ALPHAS:
             r = term(key, beta)
             if beta < gamma:
                 col.result(key, None, beta, a, r, "value(0)", 0.0, _TOL["terminal_tol"])
@@ -431,42 +422,40 @@ def _case_split_original(col: _Collector, results, a: float, funcs, config) -> N
                 col.require(key, None, beta, a, not r.exists, _shown(r), "does-not-exist")
     # Smooth functions: every order below one exists with value zero.
     for key in _SMOOTH_EVERYWHERE:
-        for alpha in config.alphas:
+        for alpha in ALPHAS:
             if alpha == 1.0:
                 continue
             r = term(key, alpha)
             col.result(key, alpha, None, a, r, "value(0)", 0.0, _TOL["terminal_tol"])
 
 
-def _conversion_at_terminal(col: _Collector, results, key: str, f, a: float, mode, config) -> None:
+def _conversion_at_terminal(col: _Collector, results, key: str, f, a: float, mode) -> None:
     """Terminal results per order, converted in the well-defined direction.
 
     For beta < alpha the weight (t-a)^(alpha-beta) vanishes at t = a, so
     the lower order must read zero wherever both orders exist.
     """
-    for alpha in config.alphas:
+    for alpha in ALPHAS:
         ra = results(deriv_at_terminal, f, alpha, a, mode)
-        for beta in config.alphas:
+        for beta in ALPHAS:
             if beta < alpha and ra.exists:
                 rb = results(deriv_at_terminal, f, beta, a, mode)
                 if rb.exists:
                     col.value(key, alpha, beta, a, rb.value, 0.0 * ra.value, _TOL["terminal_tol"])
 
 
-def check_inverses(
-    mode: TerminalMode, config: HarnessConfig = DEFAULT_CONFIG, results: _Results | None = None
-) -> CheckOutcome:
+def check_inverses(mode: TerminalMode, results: _Results | None = None) -> CheckOutcome:
     """Left inverse (derivative of integral) and right inverse (integral of
     derivative), including the jump counterexample for the right inverse.
     """
     results = _Results() if results is None else results
     col = _Collector("inverse_operators", mode)
-    for a in config.terminals:
+    for a in TERMINALS:
         funcs = registry_for(a)
         for entry in REGISTRY:
             f = funcs[entry.key]
-            for alpha in config.composition_alphas:
-                for off in config.composition_offsets:
+            for alpha in COMPOSITION_ALPHAS:
+                for off in COMPOSITION_OFFSETS:
                     t = a + off
                     if entry.kink_offset is not None and abs(off - entry.kink_offset) < 0.25:
                         continue
@@ -505,7 +494,7 @@ def check_inverses(
 
 
 def check_continuity_implication(
-    mode: TerminalMode, config: HarnessConfig = DEFAULT_CONFIG, results: _Results | None = None
+    mode: TerminalMode, results: _Results | None = None
 ) -> CheckOutcome:
     """Differentiability must imply continuity at the evaluated point.
 
@@ -515,7 +504,7 @@ def check_continuity_implication(
     """
     results = _Results() if results is None else results
     col = _Collector("continuity_implication", mode)
-    for a in config.terminals:
+    for a in TERMINALS:
         funcs = registry_for(a)
         for entry in REGISTRY:
             f = funcs[entry.key]
@@ -568,7 +557,7 @@ _CHECKLIST_KEYS = (
 
 
 def check_terminal_checklist(
-    mode: TerminalMode, config: HarnessConfig = DEFAULT_CONFIG, results: _Results | None = None
+    mode: TerminalMode, results: _Results | None = None
 ) -> list[CheckOutcome]:
     """Six desiderata for the behaviour of the derivative at the terminal.
 
@@ -580,10 +569,10 @@ def check_terminal_checklist(
     depends, uniform, matches, order_one, conversion = (
         _Collector(check, mode) for check in CHECKLIST_IDS[1:]
     )
-    for a in config.terminals:
+    for a in TERMINALS:
         funcs = registry_for(a)
         term = lambda key, alpha: results(deriv_at_terminal, funcs[key], alpha, a, mode)
-        for alpha in config.alphas:
+        for alpha in ALPHAS:
             base, dec = term("identity", alpha), term("jump_identity", alpha)
             differs = base.exists != dec.exists or (
                 base.exists and dec.exists and base.value != dec.value
@@ -600,12 +589,12 @@ def check_terminal_checklist(
                     "alpha-differentiability at a must imply right continuity",
                 )
         for key in _CHECKLIST_KEYS:
-            rs = [term(key, alpha) for alpha in config.alphas]
+            rs = [term(key, alpha) for alpha in ALPHAS]
             # The right-derivative oracle: the corrected order-1 evaluation is
             # exactly that quotient limit.
             rd = results(deriv_at_terminal, funcs[key], 1.0, a, TerminalMode.CORRECTED)
-            existing = [al for al, r in zip(config.alphas, rs) if r.exists]
-            missing = [al for al, r in zip(config.alphas, rs) if not r.exists]
+            existing = [al for al, r in zip(ALPHAS, rs) if r.exists]
+            missing = [al for al, r in zip(ALPHAS, rs) if not r.exists]
             uniform.require(
                 key,
                 existing[0] if existing else None,
@@ -615,7 +604,7 @@ def check_terminal_checklist(
                 f"exists for alpha={existing}; not for alpha={missing}",
                 "existence must be order-independent",
             )
-            for alpha, r in zip(config.alphas, rs):
+            for alpha, r in zip(ALPHAS, rs):
                 matches.require(
                     key, alpha, None, a, r.exists == rd.exists,
                     f"derivative {_shown(r)}; right f'(a) {_shown(rd)}",
@@ -632,7 +621,7 @@ def check_terminal_checklist(
                     )
                     if r.exists and rd.exists:
                         conversion.value(key, alpha, None, a, r.value, 0.0, _TOL["terminal_tol"])
-            _conversion_at_terminal(conversion, results, key, funcs[key], a, mode, config)
+            _conversion_at_terminal(conversion, results, key, funcs[key], a, mode)
             r1 = term(key, 1.0)
             order_one.require(
                 key, 1.0, None, a, r1.exists == rd.exists,
@@ -676,18 +665,23 @@ def _registry_hash() -> str:
     for e in REGISTRY:
         entry = e.as_dict()
         del entry["template"]
-        entry["sources"] = [e.source(a) for a in DEFAULT_CONFIG.terminals]
+        entry["sources"] = [e.source(a) for a in TERMINALS]
         entries.append(entry)
     payload = json.dumps(entries, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _config_echo(config: HarnessConfig) -> dict:
+def _config_echo() -> dict:
     """The grid as plain data, then the quadrature defaults and the tolerances."""
-    echo = config.as_dict()
-    echo["quad"] = DEFAULT_QUAD_CONFIG.as_dict()
-    echo["tolerances"] = dict(_TOL)
-    return echo
+    return {
+        "alphas": ALPHAS,
+        "t_offsets": T_OFFSETS,
+        "terminals": TERMINALS,
+        "composition_alphas": COMPOSITION_ALPHAS,
+        "composition_offsets": COMPOSITION_OFFSETS,
+        "quad": DEFAULT_QUAD_CONFIG.as_dict(),
+        "tolerances": dict(_TOL),
+    }
 
 
 class VerificationReport(Record):
@@ -740,19 +734,16 @@ class VerificationReport(Record):
         return "\n".join(lines) + "\n"
 
 
-def run_all(
-    modes: Sequence[TerminalMode] | None = None,
-    config: HarnessConfig = DEFAULT_CONFIG,
-) -> VerificationReport:
+def run_all(modes: Sequence[TerminalMode] | None = None) -> VerificationReport:
     """Run every check for the requested modes over the built-in registry."""
     if modes is None:
         modes = (TerminalMode.ORIGINAL, TerminalMode.CORRECTED)
     outcomes: list[CheckOutcome] = []
     results = _Results()
     for mode in modes:
-        outcomes.append(check_algebra_rules(mode, config, results))
-        outcomes.append(check_order_relation(mode, config, results))
-        outcomes.append(check_inverses(mode, config, results))
-        outcomes.append(check_continuity_implication(mode, config, results))
-        outcomes.extend(check_terminal_checklist(mode, config, results))
-    return VerificationReport(tuple(outcomes), _registry_hash(), _config_echo(config))
+        outcomes.append(check_algebra_rules(mode, results))
+        outcomes.append(check_order_relation(mode, results))
+        outcomes.append(check_inverses(mode, results))
+        outcomes.append(check_continuity_implication(mode, results))
+        outcomes.extend(check_terminal_checklist(mode, results))
+    return VerificationReport(tuple(outcomes), _registry_hash(), _config_echo())

@@ -371,6 +371,17 @@ def test_integ_divergent_exits_three(capsys, expr):
     assert err == "error: quadrature diverged: value or error bound is not finite\n"
 
 
+def test_integ_non_integrable_pole_fails(capsys):
+    # exp(1/(s-0.5)) overflows right of 0.5; the quadrature must reach it
+    # rather than stop on running totals that lost the panels beside the pole.
+    code, out, err = run(
+        capsys, "integ", "--expr", "exp(1/(t-0.5))", "--alpha", "0.5", "--a", "0", "--t", "1"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: overflow evaluating at t=0.500")
+
+
 # --------------------------------------------------------------------------
 # sweep
 # --------------------------------------------------------------------------

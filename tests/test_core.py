@@ -11,6 +11,7 @@ from conformable import (
     deriv_at_terminal,
     deriv_closed_form,
     deriv_limit,
+    evaluate,
     evaluate_body,
     evaluate_dual,
     order_convert,
@@ -216,6 +217,15 @@ def test_limit_accepts_callable():
     assert r.value == pytest.approx(6.0, abs=1e-8)
 
 
+@pytest.mark.parametrize(
+    "source,alpha,a,t",
+    [("sin(t)", 0.5, 0.0, 1.0), ("abs(t-1)", 0.7, 0.0, 1.0), ("cos(exp(t))", 0.8, 1.0, 11.0)],
+)
+def test_limit_of_funcspec_equals_limit_of_its_point_function(source, alpha, a, t):
+    f = F(source, jump_at_terminal=2.0)
+    assert deriv_limit(f, alpha, a, t) == deriv_limit(lambda x: evaluate(f, x, a), alpha, a, t)
+
+
 @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.75, 0.9, 1.0])
 @pytest.mark.parametrize("source,fprime", SMOOTH)
 def test_route_agreement(source, fprime, alpha):
@@ -369,6 +379,12 @@ def test_right_limit_of_oscillating_input_does_not_exist():
     assert right_limit(lambda h: math.sin(math.log(h))) == (
         None, 0.0, "mesh values do not contract toward a limit"
     )
+
+
+def test_right_limit_of_fast_oscillation_does_not_exist():
+    # Only one difference ratio of sin(1/h) is usable; one ratio is no
+    # evidence of contraction, so the plain Cauchy test decides.
+    assert right_limit(lambda h: math.sin(1 / h)) == (None, 0.0, "mesh values did not stabilize")
 
 
 def test_right_limit_uses_the_schedule_mesh():

@@ -68,6 +68,20 @@ def test_integral_convergence_error_on_tiny_budget():
         integral(F("exp(t)*sin(t)+t^0.5"), 0.3, 0.0, 9.0, cfg)
 
 
+def test_integral_stops_on_the_leaf_sums():
+    # Near the pole at 0.5 a huge panel enters the running totals and is split
+    # later; the small panels beside it must not be lost in those totals.
+    with pytest.raises(NonFiniteError, match="overflow evaluating at t=0.500"):
+        integral(F("exp(1/(t-0.5))"), 0.5, 0.0, 1.0)
+
+
+def test_integral_bound_meets_the_tolerance():
+    cfg = quad.DEFAULT_QUAD_CONFIG
+    for source in ("exp(t)*sin(t)+t^0.5", "(t-0.0)^0.4", "exp(1/(t-1.2))"):
+        r = integral(F(source), 0.5, 0.0, 1.0)
+        assert r.err_estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(r.value))
+
+
 def test_integral_ignores_jump_decoration():
     plain = integral(F("t^2"), 0.5, 0.0, 3.0)
     jumped = integral(F("t^2", jump_at_terminal=7.0), 0.5, 0.0, 3.0)
@@ -256,12 +270,19 @@ def test_right_inverse_rejects_function_without_right_limit():
     assert "right limit" in r.reason
 
 
-def test_right_inverse_non_finite_derivative_does_not_exist():
-    # sin(1/t) passes the right-limit check falsely, but its derivative
-    # overflows near 0 inside the quadrature: does-not-exist, not a raise
+def test_right_inverse_rejects_oscillating_function_at_the_terminal():
+    # sin(1/t) oscillates ever faster toward 0: it has no right limit there
     r = integral_of_deriv(F("sin(1/t)"), 0.5, 0.0, 1.0)
     assert not r.exists
-    assert "non-finite" in r.reason
+    assert "right limit" in r.reason
+
+
+def test_right_inverse_non_finite_derivative_does_not_exist():
+    # exp(1/(t-0.3)) has a right limit at 0, but its derivative overflows
+    # just right of 0.3 inside the quadrature: does-not-exist, not a raise
+    r = integral_of_deriv(F("exp(1/(t-0.3))"), 0.5, 0.0, 1.0)
+    assert not r.exists
+    assert r.reason.startswith("integrand derivative does not exist inside the range: overflow")
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9, 1.0])

@@ -14,7 +14,6 @@ from conformable.quad import QuadConfig
 from conformable.record import Record
 from conformable.verify import (
     CheckOutcome,
-    HarnessConfig,
     RegistryEntry,
     VerificationReport,
     Witness,
@@ -33,14 +32,6 @@ CASES = [
     (EvalResult, (2.0, 0.0), (2.0, 0.0, None)),
     (QuadConfig, (), (1e-10, 1e-9, 2000)),
     (RegistryEntry, ("one", "1"), ("one", "1", None, True, True, True, None)),
-    (
-        HarnessConfig,
-        (),
-        (
-            (0.1, 0.25, 0.4, 0.5, 0.75, 0.9, 1.0), (1e-3, 0.1, 1.0, 4.0), (0.0, 1.0, -2.0),
-            (0.25, 0.5, 0.9, 1.0), (0.1, 1.0, 4.0),
-        ),
-    ),
     (
         Witness,
         ("sine", 0.5, None, 1.0, 0.5, "value(0.5)", 1e-9),

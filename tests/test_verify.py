@@ -10,7 +10,6 @@ from conformable.verify import (
     CHECKLIST_IDS,
     EXPECTED_STATUS,
     REGISTRY,
-    HarnessConfig,
     check_algebra_rules,
     check_continuity_implication,
     check_inverses,
@@ -157,12 +156,12 @@ def test_mode_filter(default_report):
     assert report.outcomes == _outcomes_of(default_report, ORIGINAL)
 
 
-# One terminal, one composition order and one offset: every check still
-# runs, on a grid small enough to run several times.
-SMALL = HarnessConfig(terminals=(0.0,), composition_alphas=(0.5,), composition_offsets=(1.0,))
-
-
 def test_each_operator_result_is_computed_once_per_run(monkeypatch):
+    # One terminal, one composition order and one offset: every check still
+    # runs, on a grid small enough to run several times.
+    monkeypatch.setattr(verify, "TERMINALS", (0.0,))
+    monkeypatch.setattr(verify, "COMPOSITION_ALPHAS", (0.5,))
+    monkeypatch.setattr(verify, "COMPOSITION_OFFSETS", (1.0,))
     counts = Counter()
     for name in ("deriv_of_integral", "integral_of_deriv", "deriv_limit"):
         def counted(*args, _op=getattr(verify, name), _name=name, **kwargs):
@@ -170,21 +169,21 @@ def test_each_operator_result_is_computed_once_per_run(monkeypatch):
             return _op(*args, **kwargs)
 
         monkeypatch.setattr(verify, name, counted)
-    both = run_all(config=SMALL)
+    both = run_all()
     calls_for_both = dict(counts)
     counts.clear()
-    run_all((ORIGINAL,), config=SMALL)
+    run_all((ORIGINAL,))
     assert dict(counts) == calls_for_both
     assert set(calls_for_both) == {"deriv_of_integral", "integral_of_deriv", "deriv_limit"}
     # A check called alone builds its own table and judges the same values.
     expected = {(o.check_id, o.mode): o for o in both.outcomes}
     for mode in (ORIGINAL, CORRECTED):
         alone = [
-            check(mode, SMALL)
+            check(mode)
             for check in (
                 check_algebra_rules, check_order_relation,
                 check_inverses, check_continuity_implication,
             )
-        ] + check_terminal_checklist(mode, SMALL)
+        ] + check_terminal_checklist(mode)
         assert alone == [expected[(o.check_id, mode)] for o in alone]
         assert [o.check_id for o in alone] == list(CHECK_IDS)
