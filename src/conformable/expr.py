@@ -61,7 +61,7 @@ __all__ = [
 MAX_DEPTH = 100
 
 # Bounds of the memo of `parse` (entries keyed by source text) and of the
-# memo of compiled code (entries keyed by AST, holding both paths).
+# memo of compiled code (twice as many entries, one per AST and path).
 PARSE_MEMO_SIZE = 1024
 CODE_MEMO_SIZE = 1024
 
@@ -191,6 +191,9 @@ _NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _OP_CHARS = "+-*/^(),"
 
 _ATOM_EXPECTED = frozenset({"a number", "'t'", "a function name", "'('", "'-'"})
+# What may follow a complete operand: an infix operator or a closing token.
+_INFIX_EXPECTED = frozenset({"'+'", "'-'", "'*'", "'/'", "'^'"})
+_CLOSE_EXPECTED = _INFIX_EXPECTED | {"')'"}
 
 
 class _Token(Record):
@@ -258,11 +261,8 @@ class _Parser:
         node, _ = self._expr(0, 1)
         tok = self._peek()
         if tok.kind != "end":
-            self._fail(
-                tok,
-                f"unexpected {tok.text!r} after expression",
-                frozenset({"'+'", "'-'", "'*'", "'/'", "'^'", "end of input"}),
-            )
+            self._fail(tok, f"unexpected {tok.text!r} after expression",
+                       _INFIX_EXPECTED | {"end of input"})
         return node
 
     def _peek(self) -> _Token:
@@ -320,10 +320,7 @@ class _Parser:
                 return Neg(operand), height + 1
             if tok.text == "(":
                 inner, height = self._expr(0, level + 1)
-                self._expect_op(
-                    ")",
-                    frozenset({"')'", "'+'", "'-'", "'*'", "'/'", "'^'"}),
-                )
+                self._expect_op(")", _CLOSE_EXPECTED)
                 return inner, height + 1
             self._fail(tok, f"unexpected {tok.text!r}", _ATOM_EXPECTED)
         self._fail(tok, "unexpected end of input", _ATOM_EXPECTED)
@@ -336,14 +333,14 @@ class _Parser:
         if name == "pow":
             self._expect_op("(", frozenset({"'('"}))
             first, first_height = self._expr(0, level + 1)
-            self._expect_op(",", frozenset({"','", "'+'", "'-'", "'*'", "'/'", "'^'"}))
+            self._expect_op(",", _INFIX_EXPECTED | {"','"})
             second, second_height = self._expr(0, level + 1)
-            self._expect_op(")", frozenset({"')'", "'+'", "'-'", "'*'", "'/'", "'^'"}))
+            self._expect_op(")", _CLOSE_EXPECTED)
             return BinOp("^", first, second), max(first_height, second_height) + 1
         if name in FUNCTIONS:
             self._expect_op("(", frozenset({"'('"}))
             arg, height = self._expr(0, level + 1)
-            self._expect_op(")", frozenset({"')'", "'+'", "'-'", "'*'", "'/'", "'^'"}))
+            self._expect_op(")", _CLOSE_EXPECTED)
             return Call(name, arg), height + 1
         raise UnknownIdentifierError(
             name,
@@ -454,6 +451,9 @@ def power_pair(b: float, db: float, e: float, de: float) -> tuple[float, float]:
             if e == 1.0:
                 return 0.0, db
             if e > 1.0:
+                if db < 0.0 and not float(e).is_integer():
+                    # The base turns negative just right of this point.
+                    raise DomainError("negative base with non-integer exponent")
                 return 0.0, 0.0
             if e > 0.0:
                 raise NonDifferentiableError(
@@ -601,25 +601,15 @@ def _lower(body: Expr, pair: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Compiled code per body, [float path, pair path], oldest entry first.  Keys
+# Compiled code per (body, path), least recently used dropped first.  Keys
 # compare as ASTs do, so a hand-built Const(-0.0) shares the code of Const(0.0);
 # the parser never builds a signed zero.
-_CODE: dict[Expr, list] = {}
-
-
+@lru_cache(maxsize=2 * CODE_MEMO_SIZE)
 def _compiled(body: Expr, pair: bool) -> Callable:
     """One path of `body` as a plain function of t, compiled on first use."""
-    entry = _CODE.get(body)
-    if entry is None:
-        if len(_CODE) >= CODE_MEMO_SIZE:
-            del _CODE[next(iter(_CODE))]
-        entry = _CODE[body] = [None, None]
-    fn = entry[pair]
-    if fn is None:
-        namespace: dict = {}
-        exec(compile(_lower(body, pair), "<expr>", "exec"), _GLOBALS, namespace)
-        fn = entry[pair] = namespace["_f"]
-    return fn
+    namespace: dict = {}
+    exec(compile(_lower(body, pair), "<expr>", "exec"), _GLOBALS, namespace)
+    return namespace["_f"]
 
 
 def _code(f: FuncSpec, pair: bool) -> Callable:

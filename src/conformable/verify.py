@@ -98,7 +98,7 @@ REGISTRY: tuple[RegistryEntry, ...] = (
 )
 
 # Entries that are smooth on the closed range [a, a+10], jump-free.
-_SMOOTH_EVERYWHERE = ("one", "identity", "square", "sine", "cosine", "exponential", "log_shift")
+_SMOOTH_EVERYWHERE = tuple(e.key for e in REGISTRY if e.smooth and e.right_differentiable)
 
 
 def registry_for(a: float) -> dict[str, FuncSpec]:

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import conformable.cli as cli_mod
 from conformable.cli import main
-from conformable.expr import MAX_DEPTH
+from conformable.core import TerminalMode, deriv_at_terminal, deriv_closed_form, deriv_limit
+from conformable.expr import MAX_DEPTH, FuncSpec
+from conformable.quad import integral
 from conformable.verify import REGISTRY, RegistryEntry
 
 
@@ -109,6 +111,57 @@ def test_deriv_terminal_negative_base_right_of_terminal(capsys):
     )
     assert code == 1 and out == ""
     assert "negative base with non-integer exponent" in err
+
+
+@pytest.mark.parametrize("mode", ["original", "corrected"])
+def test_deriv_terminal_base_negative_inside_the_probe(capsys, mode):
+    # t*(t-0.005) is negative on (0, 0.005), though positive at 0 + 1e-2.
+    code, out, err = run(
+        capsys, "deriv", "--expr", "(t*(t-0.005))^1.5", "--alpha", "0.5", "--a", "0",
+        "--t", "0", "--mode", mode,
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: negative base with non-integer exponent\n"
+
+
+def test_deriv_routes_agree_where_the_base_turns_negative(capsys):
+    printed = [
+        run(capsys, "deriv", "--expr", "(1-t)^1.5", "--alpha", "1", "--a", "0", "--t", "1",
+            "--method", method)
+        for method in ("closed", "limit")
+    ]
+    assert printed[0] == printed[1] == (1, "", "error: negative base with non-integer exponent\n")
+
+
+def _core_message(operator, *args):
+    with pytest.raises(ValueError) as info:
+        operator(FuncSpec.from_source("t"), *args)
+    return f"error: {info.value}\n"
+
+
+_SWEEP_T = ["sweep", "--var", "t", "--stop", "2", "--steps", "3", "--expr", "t", "--a", "0"]
+
+
+@pytest.mark.parametrize("argv, operator, args", [
+    (["deriv", "--expr", "t", "--alpha", "0.5", "--a", "0", "--t=-1"],
+     deriv_closed_form, (0.5, 0.0, -1.0)),
+    (["deriv", "--expr", "t", "--alpha", "0.5", "--a", "0", "--t=-1", "--method", "limit"],
+     deriv_limit, (0.5, 0.0, -1.0)),
+    (["deriv", "--expr", "t", "--alpha", "0", "--a", "0", "--t", "0"],
+     deriv_at_terminal, (0.0, 0.0, TerminalMode.CORRECTED)),
+    ([*_SWEEP_T, "--start=-1", "--alpha", "0.5"], deriv_closed_form, (0.5, 0.0, -1.0)),
+    ([*_SWEEP_T, "--start=-1", "--alpha", "0.5", "--op", "integ"], integral, (0.5, 0.0, -1.0)),
+    ([*_SWEEP_T, "--start", "0", "--alpha", "0.5", "--op", "integ"], integral, (0.5, 0.0, 0.0)),
+    ([*_SWEEP_T, "--start", "0", "--alpha", "1.5"],
+     deriv_at_terminal, (1.5, 0.0, TerminalMode.CORRECTED)),
+    ([*_SWEEP_T, "--start", "1", "--alpha", "nan"], deriv_closed_form, (math.nan, 0.0, 1.0)),
+], ids=["deriv-below-a", "deriv-limit-below-a", "deriv-terminal-bad-alpha",
+        "sweep-below-a", "sweep-integ-below-a", "sweep-integ-at-a", "sweep-bad-alpha",
+        "sweep-nan-alpha"])
+def test_cli_prints_cores_message_for_its_input_rules(capsys, argv, operator, args):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == _core_message(operator, *args)
 
 
 def test_deriv_bad_alpha(capsys):

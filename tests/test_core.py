@@ -452,10 +452,29 @@ def test_terminal_smooth_functions_the_mesh_misjudged(source, alpha, a, mode, ex
 
 
 def test_terminal_forward_route_still_probes_right_of_the_terminal():
-    # The pair (0, 0) of (-t)^1.5 at 0 succeeds; f is undefined right of 0.
+    # f is undefined right of 0.  The pair of (-t)^1.5 at 0 refuses the
+    # point; that of (-t^2)^1.5 is (0, 0), and the probe at 1e-2 refuses it.
+    for source in ("(-t)^1.5", "(-t^2)^1.5"):
+        for mode in (ORIGINAL, CORRECTED):
+            with pytest.raises(DomainError, match="negative base with non-integer exponent"):
+                deriv_at_terminal(F(source), 0.5, 0.0, mode)
+
+
+def test_terminal_forward_route_refuses_a_base_negative_inside_the_probe():
+    # t*(t-0.005) is negative on (0, 0.005) but positive at the probe 1e-2.
     for mode in (ORIGINAL, CORRECTED):
         with pytest.raises(DomainError, match="negative base with non-integer exponent"):
-            deriv_at_terminal(F("(-t)^1.5"), 0.5, 0.0, mode)
+            deriv_at_terminal(F("(t*(t-0.005))^1.5"), 0.5, 0.0, mode)
+    for source in ("(t^2)^1.5", "t^1.5", "(t*(t+0.005))^1.5"):
+        for mode in (ORIGINAL, CORRECTED):
+            assert deriv_at_terminal(F(source), 0.5, 0.0, mode) == EvalResult.of(0.0, 0.0)
+
+
+def test_routes_agree_where_the_base_turns_negative_right_of_t():
+    # (1-t)^1.5 at t = 1 is undefined on (1, 1 + h): both routes refuse it.
+    for route in (deriv_closed_form, deriv_limit):
+        with pytest.raises(DomainError, match="negative base with non-integer exponent"):
+            route(F("(1-t)^1.5"), 1.0, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("source", ["(t-1)^0.4", "(t-1)^0.5/0.5", "sqrt(t-1)"])

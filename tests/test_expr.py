@@ -511,10 +511,18 @@ def test_compiled_matches_reference_at_edges(source, t, float_outcome, pair_outc
 
 @pytest.mark.parametrize(
     "source, value, deriv",
-    [("t^0", 1.0, 0.0), ("t^1", 0.0, 1.0), ("t^2.5", 0.0, 0.0), ("t^2", 0.0, 0.0)],
+    [("t^0", 1.0, 0.0), ("t^1", 0.0, 1.0), ("t^2.5", 0.0, 0.0), ("t^2", 0.0, 0.0),
+     ("(-t)^2", 0.0, 0.0), ("(-t^2)^1.5", 0.0, 0.0)],
 )
 def test_zero_base_power_values(source, value, deriv):
     assert evaluate_dual(FuncSpec(parse(source)), 0.0) == (value, deriv)
+
+
+@pytest.mark.parametrize("source", ["(t*(t-0.005))^1.5", "(-t)^2.5", "(0-t)^1.5"])
+def test_zero_base_turning_negative_refuses_a_non_integer_exponent(source):
+    # The base is 0 at t = 0 and negative just right of it.
+    with pytest.raises(DomainError, match="negative base with non-integer exponent"):
+        evaluate_dual(FuncSpec(parse(source)), 0.0)
 
 
 def test_negative_constants_in_hand_built_trees():
@@ -552,7 +560,7 @@ def registry(monkeypatch):
     monkeypatch.setattr(expr, "FUNCTIONS", dict(expr.FUNCTIONS))
     yield
     parse.cache_clear()
-    expr._CODE.clear()
+    expr._compiled.cache_clear()
 
 
 def _cube(x):
@@ -572,6 +580,17 @@ def test_failed_parse_is_not_memoised(registry):
         parse("cube(t) + 1")
     register_function("cube", _cube, _dcube)
     assert parse("cube(t) + 1") == BinOp("+", Call("cube", Var()), Const(1.0))
+
+
+def test_failed_compile_is_not_memoised(registry):
+    f = FuncSpec(Call("cube", Var()))  # built by hand: parsing would refuse it
+    with pytest.raises(UnknownIdentifierError):
+        evaluate_body(f, 2.0)
+    with pytest.raises(UnknownIdentifierError):
+        evaluate_dual(f, 2.0)
+    register_function("cube", _cube, _dcube)
+    assert evaluate_body(f, 2.0) == 8.0
+    assert evaluate_dual(f, 2.0) == (8.0, 12.0)
 
 
 def test_registered_function_after_memos_are_populated(registry):
