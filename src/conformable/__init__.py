@@ -38,7 +38,6 @@ from .expr import (
     evaluate_body,
     evaluate_dual,
     parse,
-    register_function,
     unparse,
 )
 from .quad import QuadConfig, deriv_of_integral, integral, integral_of_deriv
@@ -75,7 +74,6 @@ __all__ = [
     "integral_of_deriv",
     "order_convert",
     "parse",
-    "register_function",
     "right_limit",
     "run_all",
     "unparse",

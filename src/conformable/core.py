@@ -374,8 +374,7 @@ def deriv_at_terminal(
     with err_estimate 0.  ORIGINAL ignores a jump decoration; CORRECTED
     reports does-not-exist for a non-zero one.  f is also evaluated once at
     a + 1e-2, so a body undefined there, like (-t)^1.5 at a = 0, still
-    raises.  A registered function is trusted to raise where its
-    derivative is not continuous.
+    raises.
 
     What forward mode refuses goes to the mesh t_k = a + 1e-2 * 0.5^k, k < 12.
     ORIGINAL extrapolates interior closed-form derivatives along it

@@ -24,7 +24,7 @@ class ParseError(ValueError):
 
 
 class UnknownIdentifierError(ParseError):
-    """Identifier other than `t` and the registered function names."""
+    """Identifier other than `t`, `pow` and the builtin function names."""
 
     def __init__(self, name: str, offset: int, expected: frozenset[str] = frozenset()):
         super().__init__(f"unknown identifier {name!r}", offset, expected)

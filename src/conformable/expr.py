@@ -42,7 +42,6 @@ __all__ = [
     "Const",
     "Expr",
     "FuncSpec",
-    "FunctionDef",
     "FUNCTIONS",
     "Neg",
     "Var",
@@ -51,7 +50,6 @@ __all__ = [
     "evaluate_dual",
     "parse",
     "power_pair",
-    "register_function",
     "unparse",
 ]
 
@@ -113,74 +111,6 @@ class FuncSpec(Record):
     @classmethod
     def from_source(cls, source: str, jump_at_terminal: float | None = None) -> "FuncSpec":
         return cls(parse(source), jump_at_terminal)
-
-
-# --------------------------------------------------------------------------
-# Function registry
-# --------------------------------------------------------------------------
-
-class FunctionDef(Record):
-    """A unary function and, for a registered one, its derivative.
-
-    The builtins carry no ``deriv``: their pair rules are inline in
-    `_PAIR_RULES`.
-    """
-
-    name: str
-    real: Callable[[float], float]
-    deriv: Callable[[float], float] | None = None
-
-
-def _ln_domain(x: float):
-    raise DomainError(f"ln of non-positive value {x!r}")
-
-
-def _sqrt_domain(x: float):
-    raise DomainError(f"sqrt of negative value {x!r}")
-
-
-def _real_ln(x: float) -> float:
-    if x <= 0.0:
-        _ln_domain(x)
-    return math.log(x)
-
-
-def _real_sqrt(x: float) -> float:
-    if x < 0.0:
-        _sqrt_domain(x)
-    return math.sqrt(x)
-
-
-FUNCTIONS: dict[str, FunctionDef] = {
-    f.name: f
-    for f in (
-        FunctionDef("sin", math.sin),
-        FunctionDef("cos", math.cos),
-        FunctionDef("exp", math.exp),
-        FunctionDef("ln", _real_ln),
-        FunctionDef("abs", abs),
-        FunctionDef("sqrt", _real_sqrt),
-    )
-}
-
-
-def register_function(
-    name: str,
-    real: Callable[[float], float],
-    deriv: Callable[[float], float],
-) -> None:
-    """Extend the whitelist with a new unary function f and its derivative f'.
-
-    Both callables take and return floats; forward mode applies the chain
-    rule, (f(x), f'(x) * x').  Registration is permanent, and both callables
-    must be pure: compiled code evaluates a subexpression that occurs twice
-    in a body only once.
-    """
-    if not (name.isascii() and name.isidentifier()):
-        raise ValueError(f"not a valid function name: {name!r}")
-    if name in ("t", "pow") or name in FUNCTIONS:
-        raise ValueError(f"function name already taken: {name!r}")
-    FUNCTIONS[name] = FunctionDef(name, real, deriv)
 
 
 # --------------------------------------------------------------------------
@@ -342,11 +272,7 @@ class _Parser:
             arg, height = self._expr(0, level + 1)
             self._expect_op(")", _CLOSE_EXPECTED)
             return Call(name, arg), height + 1
-        raise UnknownIdentifierError(
-            name,
-            _byte_offset(self._source, tok.pos),
-            frozenset({"'t'", "'pow'"} | set(FUNCTIONS)),
-        )
+        raise UnknownIdentifierError(name, _byte_offset(self._source, tok.pos), _NAMES_EXPECTED)
 
 
 @lru_cache(maxsize=PARSE_MEMO_SIZE)
@@ -436,6 +362,14 @@ def _sqrt_kink():
     raise NonDifferentiableError("sqrt has no finite derivative at 0")
 
 
+def _ln_domain(x: float):
+    raise DomainError(f"ln of non-positive value {x!r}")
+
+
+def _sqrt_domain(x: float):
+    raise DomainError(f"sqrt of negative value {x!r}")
+
+
 def power_pair(b: float, db: float, e: float, de: float) -> tuple[float, float]:
     """b^e with its derivative, from the (value, derivative) pairs of b and e.
 
@@ -506,9 +440,12 @@ _PAIR_RULES: dict[str, tuple[str, ...]] = {
     "sqrt": ("if {a} < 0.0: _sqrt_domain({a})", "if {a} == 0.0: _sqrt_kink()",
              "{r} = _sqrt({a})", "{rd} = {ad} / (2.0 * {r})"),
 }
+# The builtin function names, each declared once by its rules, and what an
+# unknown identifier is told was expected in its place.
+FUNCTIONS = frozenset(name for name in _FLOAT_RULES if name.isidentifier())
+_NAMES_EXPECTED = frozenset({"'t'", "'pow'"} | FUNCTIONS)
 
-# The one globals dict of all generated functions.  Registered functions are
-# bound here as _real<k> and _deriv<k>, k numbering their names.
+# The one globals dict of all generated functions.
 _GLOBALS: dict = {
     "__builtins__": {},
     "_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "_log": math.log,
@@ -520,7 +457,6 @@ _GLOBALS: dict = {
     "_abs_kink": _abs_kink, "_sqrt_kink": _sqrt_kink,
     "_inf": math.inf, "_ninf": -math.inf, "_nan": math.nan,
 }
-_SLOTS: dict[str, int] = {}
 
 
 def _literal(value: float) -> str:
@@ -539,18 +475,6 @@ def _deriv_of(operand: str) -> str:
     if operand.startswith("v"):
         return "d" + operand[1:]
     return "1.0" if operand == "t" else "0.0"
-
-
-def _registered_rule(func: str, pair: bool) -> tuple[str, ...]:
-    fd = FUNCTIONS.get(func)
-    if fd is None:
-        raise UnknownIdentifierError(func, 0, frozenset(FUNCTIONS))
-    k = _SLOTS.setdefault(func, len(_SLOTS))
-    _GLOBALS[f"_real{k}"] = fd.real
-    _GLOBALS[f"_deriv{k}"] = fd.deriv
-    if pair:
-        return (f"{{r}} = _real{k}({{a}})", f"{{rd}} = _deriv{k}({{a}}) * {{ad}}")
-    return (f"{{r}} = _real{k}({{a}})",)
 
 
 def _lower(body: Expr, pair: bool) -> str:
@@ -593,8 +517,9 @@ def _lower(body: Expr, pair: bool) -> str:
             a, b = operands if len(operands) == 2 else (operands[0], "")
             fields = dict(r=name, rd=_deriv_of(name), a=a, ad=_deriv_of(a),
                           b=b, bd=_deriv_of(b))
-            template = rules[op] if op in rules else _registered_rule(op, pair)
-            lines += ["    " + line.format(**fields) for line in template]
+            if op not in rules:
+                raise UnknownIdentifierError(op, 0, _NAMES_EXPECTED)
+            lines += ["    " + line.format(**fields) for line in rules[op]]
         done.append(name)
     (root,) = done
     lines.append(f"    return {root}, {_deriv_of(root)}" if pair else f"    return {root}")

@@ -29,7 +29,6 @@ from conformable.expr import (
     evaluate_dual,
     parse,
     power_pair,
-    register_function,
     unparse,
 )
 
@@ -163,11 +162,7 @@ def _exprs():
             st.builds(
                 BinOp, st.sampled_from("+-*/^"), children, children
             ),
-            st.builds(
-                Call,
-                st.sampled_from(["sin", "cos", "exp", "ln", "abs", "sqrt"]),
-                children,
-            ),
+            st.builds(Call, st.sampled_from(sorted(expr.FUNCTIONS)), children),
         )
 
     return st.recursive(leaves, extend, max_leaves=24)
@@ -322,8 +317,30 @@ def _walk_float(node, t):
     if isinstance(node, Neg):
         return -_walk_float(node.operand, t)
     if isinstance(node, Call):
-        return expr.FUNCTIONS[node.func].real(_walk_float(node.arg, t))
+        return _FLOAT_FUNCTIONS[node.func](_walk_float(node.arg, t))
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _float_ln(x):
+    if x <= 0.0:
+        raise DomainError(f"ln of non-positive value {x!r}")
+    return math.log(x)
+
+
+def _float_sqrt(x):
+    if x < 0.0:
+        raise DomainError(f"sqrt of negative value {x!r}")
+    return math.sqrt(x)
+
+
+_FLOAT_FUNCTIONS = {
+    "sin": math.sin,
+    "cos": math.cos,
+    "exp": math.exp,
+    "ln": _float_ln,
+    "abs": abs,
+    "sqrt": _float_sqrt,
+}
 
 
 # The pair rules of the forward-mode number type that `_walk_dual` used,
@@ -394,11 +411,7 @@ def _walk_dual(node, t):
         v, d = _walk_dual(node.operand, t)
         return -v, -d
     if isinstance(node, Call):
-        x = _walk_dual(node.arg, t)
-        if node.func in _PAIR_FUNCTIONS:
-            return _PAIR_FUNCTIONS[node.func](x)
-        fd = expr.FUNCTIONS[node.func]
-        return fd.real(x[0]), fd.deriv(x[0]) * x[1]
+        return _PAIR_FUNCTIONS[node.func](_walk_dual(node.arg, t))
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -455,11 +468,7 @@ def _random_trees():
         return st.one_of(
             st.builds(Neg, children),
             st.builds(BinOp, st.sampled_from("+-*/^"), children, children),
-            st.builds(
-                Call,
-                st.sampled_from(["sin", "cos", "exp", "ln", "abs", "sqrt"]),
-                children,
-            ),
+            st.builds(Call, st.sampled_from(sorted(expr.FUNCTIONS)), children),
         )
 
     return st.recursive(leaves, extend, max_leaves=12)
@@ -531,9 +540,8 @@ def test_negative_constants_in_hand_built_trees():
         _assert_matches_reference(node, t)
 
 
-def test_generated_source_holds_only_fixed_names_and_floats(registry):
-    register_function("cube", _cube, _dcube)
-    node = parse("cube(sin(t))/1e999 + ln(t)^2.5 - 0.1")
+def test_generated_source_holds_only_fixed_names_and_floats():
+    node = parse("abs(sin(t))/1e999 + ln(t)^2.5 - 0.1")
     for pair in (False, True):
         source = expr._lower(node, pair)
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):
@@ -550,60 +558,32 @@ def test_generated_source_holds_only_fixed_names_and_floats(registry):
 
 
 # --------------------------------------------------------------------------
-# memos and registered functions
+# memos and the closed set of functions
 # --------------------------------------------------------------------------
-
-@pytest.fixture
-def registry(monkeypatch):
-    """A scratch copy of the function registry; the memos, which may hold
-    names registered in it, are emptied afterwards."""
-    monkeypatch.setattr(expr, "FUNCTIONS", dict(expr.FUNCTIONS))
-    yield
-    parse.cache_clear()
-    expr._compiled.cache_clear()
-
-
-def _cube(x):
-    return x * x * x
-
-
-def _dcube(x):
-    return 3.0 * x * x
-
 
 def test_parse_memo_returns_the_same_ast():
     assert parse("t^2 + sin(t)") is parse("t^2 + sin(t)")
 
 
-def test_failed_parse_is_not_memoised(registry):
-    with pytest.raises(UnknownIdentifierError):
-        parse("cube(t) + 1")
-    register_function("cube", _cube, _dcube)
-    assert parse("cube(t) + 1") == BinOp("+", Call("cube", Var()), Const(1.0))
-
-
-def test_failed_compile_is_not_memoised(registry):
+def test_hand_built_unknown_call_is_refused():
     f = FuncSpec(Call("cube", Var()))  # built by hand: parsing would refuse it
-    with pytest.raises(UnknownIdentifierError):
-        evaluate_body(f, 2.0)
-    with pytest.raises(UnknownIdentifierError):
-        evaluate_dual(f, 2.0)
-    register_function("cube", _cube, _dcube)
-    assert evaluate_body(f, 2.0) == 8.0
-    assert evaluate_dual(f, 2.0) == (8.0, 12.0)
+    with pytest.raises(UnknownIdentifierError) as parsed:
+        parse("cube(t)")
+    for fn in (evaluate_body, evaluate_dual):
+        with pytest.raises(UnknownIdentifierError) as refused:
+            fn(f, 2.0)
+        assert str(refused.value) == str(parsed.value)
 
 
-def test_registered_function_after_memos_are_populated(registry):
-    for source in ("t^2 + 1", "sin(t)*t", "t^2 + 1"):
+def test_compiling_leaves_the_globals_unchanged():
+    before = dict(expr._GLOBALS)
+    for source in ("t^2 + 1", "sin(t)*exp(t) - ln(t)", "sqrt(abs(t))/cos(t)", "pow(t, t)"):
         f = FuncSpec.from_source(source)
         evaluate_body(f, 2.0)
         evaluate_dual(f, 2.0)
-    register_function("cube", _cube, _dcube)
-    f = FuncSpec.from_source("cube(t^2 + 1) - sin(t)*t")
-    assert evaluate_body(f, 2.0) == _reference_body(f.body, 2.0)
-    d = evaluate_dual(f, 2.0)
-    assert d == _reference_dual(f.body, 2.0)
-    assert d == (125.0 - math.sin(2.0) * 2.0, 300.0 - (math.cos(2.0) * 2.0 + math.sin(2.0)))
+    assert expr._GLOBALS == before
+    assert expr._PAIR_RULES.keys() == expr._FLOAT_RULES.keys()
+    assert expr.FUNCTIONS == {"sin", "cos", "exp", "ln", "abs", "sqrt"}
 
 
 def test_equal_bodies_share_compiled_code():
@@ -616,35 +596,3 @@ def test_equal_bodies_share_compiled_code():
     assert evaluate_dual(plain, 1.0) == evaluate_dual(jumped, 1.0) == (2.0, 2.0)
     assert plain._float_code is jumped._float_code
     assert plain._pair_code is jumped._pair_code
-
-
-@pytest.mark.parametrize(
-    "name, message",
-    [
-        ("", "not a valid function name"),
-        ("2f", "not a valid function name"),
-        ("a-b", "not a valid function name"),
-        ("\u00e9", "not a valid function name"),
-        ("f\n", "not a valid function name"),
-        ("_f2", None),
-        ("t", "function name already taken"),
-        ("pow", "function name already taken"),
-        ("sin", "function name already taken"),
-    ],
-)
-def test_register_function_checks_the_name(registry, name, message):
-    if message is None:
-        register_function(name, _cube, _dcube)
-        assert evaluate_body(FuncSpec.from_source(f"{name}(t)"), 2.0) == 8.0
-        return
-    before = dict(expr.FUNCTIONS)
-    with pytest.raises(ValueError, match=f"^{message}: {re.escape(repr(name))}$"):
-        register_function(name, _cube, _dcube)
-    assert expr.FUNCTIONS == before
-
-
-def test_registered_name_does_not_clash_with_negation(registry):
-    register_function("neg", _cube, _dcube)
-    node = parse("neg(t) - -t + neg(-t)")
-    for t in (2.0, -1.5):
-        _assert_matches_reference(node, t)

@@ -3,13 +3,12 @@ pickles that compare equal, a ``Name(field=value, ...)`` repr, defaults that
 match explicit construction, and equality only within one class."""
 
 import copy
-import math
 import pickle
 
 import pytest
 
 from conformable.core import EvalResult, TerminalMode
-from conformable.expr import BinOp, Call, Const, FuncSpec, FunctionDef, Neg, Var, _Token, parse
+from conformable.expr import BinOp, Call, Const, FuncSpec, Neg, Var, _Token, parse
 from conformable.quad import QuadConfig
 from conformable.record import Record
 from conformable.verify import (
@@ -27,7 +26,6 @@ CASES = [
     (BinOp, ("+", Var(), Const(2.0)), ("+", Var(), Const(2.0))),
     (Call, ("sin", Var()), ("sin", Var())),
     (FuncSpec, (parse("t^2"),), (parse("t^2"), None)),
-    (FunctionDef, ("sin", math.sin), ("sin", math.sin, None)),
     (_Token, ("op", "+", 3), ("op", "+", 3, 0.0)),
     (EvalResult, (2.0, 0.0), (2.0, 0.0, None)),
     (QuadConfig, (), (1e-10, 1e-9, 2000)),
