@@ -40,7 +40,7 @@ from .expr import (
     parse,
     unparse,
 )
-from .quad import QuadConfig, deriv_of_integral, integral, integral_of_deriv
+from .quad import deriv_of_integral, integral, integral_of_deriv
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "NonFiniteError",
     "ParseError",
     "PreconditionError",
-    "QuadConfig",
     "TerminalMode",
     "UnknownIdentifierError",
     "Var",

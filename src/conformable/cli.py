@@ -22,7 +22,7 @@ from .core import (
 )
 from .errors import ConvergenceError, DomainError, NonFiniteError
 from .expr import FuncSpec
-from .quad import DEFAULT_QUAD_CONFIG, QuadConfig, integral
+from .quad import integral
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     integ = sub.add_parser("integ", help="evaluate an integral of order alpha")
     _common_args(integ)
-    _quad_args(integ)
 
     sweep = sub.add_parser("sweep", help="sweep alpha or t and emit CSV")
     sweep.add_argument("--var", choices=["alpha", "t"], required=True)
@@ -95,14 +94,6 @@ def _route_args(p: argparse.ArgumentParser) -> None:
                    help="interior evaluation route")
 
 
-def _quad_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--abs-tol", type=float, default=DEFAULT_QUAD_CONFIG.abs_tol)
-    p.add_argument("--rel-tol", type=float, default=DEFAULT_QUAD_CONFIG.rel_tol)
-    p.add_argument(
-        "--max-subdivisions", type=int, default=DEFAULT_QUAD_CONFIG.max_subdivisions
-    )
-
-
 def _print_result(r: EvalResult) -> int:
     if r.exists:
         print(f"value={_HUMAN % r.value} err={_HUMAN % r.err_estimate}")
@@ -128,8 +119,7 @@ def _cmd_deriv(args) -> int:
 
 def _cmd_integ(args) -> int:
     f = FuncSpec.from_source(args.expr, args.jump)
-    cfg = QuadConfig(args.abs_tol, args.rel_tol, args.max_subdivisions)
-    return _print_result(integral(f, args.alpha, args.a, args.t, cfg))
+    return _print_result(integral(f, args.alpha, args.a, args.t))
 
 
 def _sweep_values(start: float, stop: float, steps: int) -> list[float]:

@@ -146,9 +146,8 @@ def _tokenize(source: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            m = _NUMBER_RE.match(source, i)
-            assert m is not None
+        m = _NUMBER_RE.match(source, i)
+        if m is not None:
             text = m.group(0)
             out.append(_Token("number", text, i, float(text)))
             i = m.end()
@@ -393,7 +392,7 @@ def power_pair(b: float, db: float, e: float, de: float) -> tuple[float, float]:
                 raise NonDifferentiableError(
                     f"x^{e!r} has no finite derivative at x = 0"
                 )
-            raise DomainError("zero base with non-positive exponent")
+            raise DomainError("zero base with negative exponent")
         if float(e).is_integer():
             return math.pow(b, e), e * math.pow(b, e - 1.0) * db
         raise DomainError("negative base with non-integer exponent")

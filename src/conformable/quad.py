@@ -24,30 +24,22 @@ from .core import (
 )
 from .errors import ConvergenceError, NonDifferentiableError, NonFiniteError
 from .expr import FuncSpec, evaluate_body
-from .record import Record
 
 __all__ = [
-    "QuadConfig",
-    "DEFAULT_QUAD_CONFIG",
+    "ABS_TOL",
+    "MAX_SUBDIVISIONS",
+    "REL_TOL",
     "deriv_of_integral",
     "integral",
     "integral_of_deriv",
 ]
 
 
-class QuadConfig(Record):
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 2000
-
-    def _check(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
-
-
-DEFAULT_QUAD_CONFIG = QuadConfig()
+# The tolerances of `integral` and `integral_of_deriv`, and the split budget
+# of every quadrature here.
+ABS_TOL = 1e-10
+REL_TOL = 1e-9
+MAX_SUBDIVISIONS = 2000
 
 # QUADPACK qk15 abscissae and weights on [-1, 1] (positive half).
 _XGK = (
@@ -98,7 +90,8 @@ def _adaptive_quad(
     fn: Callable[[float], float],
     lo: float,
     hi: float,
-    cfg: QuadConfig,
+    abs_tol: float,
+    rel_tol: float,
 ) -> tuple[float, float]:
     """Split the worst panel until the summed error bound meets tolerance.
 
@@ -112,7 +105,7 @@ def _adaptive_quad(
     total_val, total_err = val, err
     splits = 0
     while True:
-        if not total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
+        if not total_err > max(abs_tol, rel_tol * abs(total_val)):
             # The running totals can absorb small panels beside a huge one that
             # was later split; stop only when the leaf sums, which are returned,
             # meet the tolerance too.
@@ -120,11 +113,11 @@ def _adaptive_quad(
             for _, _, _, v, e in sorted(panels, key=lambda p: p[1]):
                 total_val += v
                 total_err += e
-            if not total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
+            if not total_err > max(abs_tol, rel_tol * abs(total_val)):
                 break
-        if splits >= cfg.max_subdivisions:
+        if splits >= MAX_SUBDIVISIONS:
             raise ConvergenceError(
-                f"quadrature tolerances not met within {cfg.max_subdivisions} subdivisions"
+                f"quadrature tolerances not met within {MAX_SUBDIVISIONS} subdivisions"
             )
         _, p_lo, p_hi, p_val, p_err = heapq.heappop(panels)
         mid = p_lo + 0.25 * (p_hi - p_lo) if p_lo == lo else 0.5 * (p_lo + p_hi)
@@ -148,7 +141,6 @@ def _substituted(
     al: float,
     av: float,
     t: float,
-    cfg: QuadConfig,
 ) -> tuple[float, float]:
     """`_adaptive_quad`'s (value, bound) for ∫_a^t (s-a)^(al-1) point(f, s) ds,
     taken as (1/al) ∫_0^((t-a)^al) point(f, a + u^(1/al)) du."""
@@ -159,29 +151,23 @@ def _substituted(
         s = av + (math.pow(u, inv_alpha) if u > 0.0 else 0.0)
         return inv_alpha * point(f, s)
 
-    return _adaptive_quad(fn, 0.0, upper, cfg)
+    return _adaptive_quad(fn, 0.0, upper, ABS_TOL, REL_TOL)
 
 
-def integral(
-    f: FuncSpec,
-    alpha: float,
-    a: float,
-    t: float,
-    cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
-) -> EvalResult:
+def integral(f: FuncSpec, alpha: float, a: float, t: float) -> EvalResult:
     """∫_a^t (s-a)^(alpha-1) f(s) ds via the singularity-removing substitution.
 
     The integrand uses the body of f everywhere; a jump decoration affects a
     single point of measure zero and never the integral.
     """
     al, av, t = checked_interior(alpha, a, t)
-    value, bound = _substituted(evaluate_body, f, al, av, t, cfg)
+    value, bound = _substituted(evaluate_body, f, al, av, t)
     return EvalResult.of(value, bound)
 
 
 # Each probe of `deriv_of_integral` integrates to tolerances far below the
 # Cauchy threshold, so jitter never reads as a missing limit.
-_PROBE_CONFIG = QuadConfig(1e-13, 1e-13, 2000)
+_PROBE_TOL = 1e-13
 
 
 def deriv_of_integral(f: FuncSpec, alpha: float, a: float, t: float) -> EvalResult:
@@ -199,8 +185,8 @@ def deriv_of_integral(f: FuncSpec, alpha: float, a: float, t: float) -> EvalResu
 
     def g(x: float) -> float:
         if x < t:
-            return -_adaptive_quad(weighted, x, t, _PROBE_CONFIG)[0]
-        return _adaptive_quad(weighted, t, x, _PROBE_CONFIG)[0]
+            return -_adaptive_quad(weighted, x, t, _PROBE_TOL, _PROBE_TOL)[0]
+        return _adaptive_quad(weighted, t, x, _PROBE_TOL, _PROBE_TOL)[0]
 
     return deriv_limit(g, al, av, t)
 
@@ -229,7 +215,7 @@ def integral_of_deriv(f: FuncSpec, alpha: float, a: float, t: float) -> EvalResu
         return r.value
 
     try:
-        value, bound = _substituted(point, f, al, av, t, DEFAULT_QUAD_CONFIG)
+        value, bound = _substituted(point, f, al, av, t)
     except (NonDifferentiableError, NonFiniteError) as exc:
         return EvalResult.does_not_exist(
             f"integrand derivative does not exist inside the range: {exc}"

@@ -29,7 +29,7 @@ from .core import (
     right_limit,
 )
 from .expr import BinOp, Const, FuncSpec, evaluate, evaluate_body, parse
-from .quad import DEFAULT_QUAD_CONFIG, deriv_of_integral, integral_of_deriv
+from .quad import ABS_TOL, MAX_SUBDIVISIONS, REL_TOL, deriv_of_integral, integral_of_deriv
 from .record import Record
 
 __all__ = [
@@ -672,14 +672,18 @@ def _registry_hash() -> str:
 
 
 def _config_echo() -> dict:
-    """The grid as plain data, then the quadrature defaults and the tolerances."""
+    """The grid as plain data, then the quadrature settings and the tolerances."""
     return {
         "alphas": ALPHAS,
         "t_offsets": T_OFFSETS,
         "terminals": TERMINALS,
         "composition_alphas": COMPOSITION_ALPHAS,
         "composition_offsets": COMPOSITION_OFFSETS,
-        "quad": DEFAULT_QUAD_CONFIG.as_dict(),
+        "quad": {
+            "abs_tol": ABS_TOL,
+            "rel_tol": REL_TOL,
+            "max_subdivisions": MAX_SUBDIVISIONS,
+        },
         "tolerances": dict(_TOL),
     }
 

@@ -71,6 +71,8 @@ def test_parse_number_forms():
     assert parse("1e-3") == Const(1e-3)
     assert parse(".5") == Const(0.5)
     assert parse("2.75e+1") == Const(27.5)
+    assert parse("1.e5") == Const(1e5)
+    assert parse("\u0663") == Const(3.0)  # ARABIC-INDIC DIGIT THREE
 
 
 def test_parse_truncated_input_offset():
@@ -109,6 +111,19 @@ def test_parse_unexpected_character():
     with pytest.raises(ParseError) as exc:
         parse("t % 2")
     assert exc.value.offset == 2
+
+
+# str.isdigit() holds for superscripts, which no number pattern matches.
+@pytest.mark.parametrize(
+    "source, char, offset",
+    [("t*\u00b2", "\u00b2", 2), ("\u00bd", "\u00bd", 0), ("\u0663*\u00b2", "\u00b2", 3)],
+)
+def test_parse_digit_like_character_is_unexpected(source, char, offset):
+    with pytest.raises(ParseError) as exc:
+        parse(source)
+    assert type(exc.value) is ParseError
+    assert exc.value.offset == offset
+    assert str(exc.value).startswith(f"unexpected character {char!r} ")
 
 
 def test_parse_at_depth_limit():

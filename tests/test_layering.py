@@ -43,12 +43,24 @@ def test_no_module_imports_dataclasses():
     assert offenders == []
 
 
+def test_no_assert_statement_in_the_package():
+    # `python -O` strips assert statements, so none may guard input.
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []
+
 
 # The parameters of every public operator: a new option shows up here as an edit.
 SIGNATURES = {
     core.deriv_closed_form: ("f", "alpha", "a", "t"),
     core.deriv_limit: ("f", "alpha", "a", "t"),
-    quad.integral: ("f", "alpha", "a", "t", "cfg"),
+    quad.integral: ("f", "alpha", "a", "t"),
     quad.deriv_of_integral: ("f", "alpha", "a", "t"),
     quad.integral_of_deriv: ("f", "alpha", "a", "t"),
     core.deriv_at_terminal: ("f", "alpha", "a", "mode"),
@@ -68,5 +80,7 @@ SIGNATURES = {
 def test_public_operators_take_only_their_inputs():
     for fn, names in SIGNATURES.items():
         assert tuple(inspect.signature(fn).parameters) == names, fn.__name__
-    # The harness grid is fixed: module constants, not a settings record.
+    # The harness grid and the quadrature settings are fixed: module
+    # constants, not settings records.
     assert not hasattr(verify, "HarnessConfig")
+    assert not hasattr(quad, "QuadConfig")

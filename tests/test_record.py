@@ -9,7 +9,6 @@ import pytest
 
 from conformable.core import EvalResult, TerminalMode
 from conformable.expr import BinOp, Call, Const, FuncSpec, Neg, Var, _Token, parse
-from conformable.quad import QuadConfig
 from conformable.record import Record
 from conformable.verify import (
     CheckOutcome,
@@ -28,7 +27,6 @@ CASES = [
     (FuncSpec, (parse("t^2"),), (parse("t^2"), None)),
     (_Token, ("op", "+", 3), ("op", "+", 3, 0.0)),
     (EvalResult, (2.0, 0.0), (2.0, 0.0, None)),
-    (QuadConfig, (), (1e-10, 1e-9, 2000)),
     (RegistryEntry, ("one", "1"), ("one", "1", None, True, True, True, None)),
     (
         Witness,
