@@ -72,9 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the verification harness")
     verify.add_argument("--json", dest="json_path", help="also write the JSON report")
-    verify.add_argument(
-        "--mode", choices=["original", "corrected", "both"], default="both"
-    )
     return parser
 
 
@@ -172,16 +169,15 @@ def _cmd_sweep(args) -> int:
     return EXIT_USAGE if any(row[3] == "error" for row in rows) else EXIT_OK
 
 
-def run_all(modes):
+def run_all():
     """`verify.run_all`, importing the harness only when `verify` runs."""
     from .verify import run_all as run
 
-    return run(modes)
+    return run()
 
 
 def _cmd_verify(args) -> int:
-    modes = None if args.mode == "both" else (TerminalMode(args.mode),)
-    report = run_all(modes)
+    report = run_all()
     if args.json_path:
         try:
             with open(args.json_path, "w", encoding="utf-8", newline="") as fh:

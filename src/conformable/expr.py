@@ -332,25 +332,27 @@ def unparse(node: Expr) -> str:
 # --------------------------------------------------------------------------
 
 def _pow_float(base: float, expo: float) -> float:
+    """base^expo, the one statement of where ``^`` is real.
+
+    A zero base refuses a negative exponent and a negative base a
+    non-integer one; a NaN operand falls through and reads as non-finite.
+    """
     if base > 0.0:
         return math.pow(base, expo)
     if base == 0.0:
+        if expo < 0.0:
+            raise DomainError("zero base with negative exponent")
         if expo == 0.0:
             return 1.0
         if expo > 0.0:
             return 0.0
-        raise DomainError("zero base with negative exponent")
-    if float(expo).is_integer():
-        return math.pow(base, expo)
-    raise DomainError("negative base with non-integer exponent")
+    elif base < 0.0 and expo == expo and not float(expo).is_integer():
+        raise DomainError("negative base with non-integer exponent")
+    return math.pow(base, expo)
 
 
 def _division_by_zero(t: float):
     raise DomainError(f"division by zero at t={t!r}")
-
-
-def _dual_division_by_zero():
-    raise DomainError("division by zero")
 
 
 def _abs_kink():
@@ -372,30 +374,24 @@ def _sqrt_domain(x: float):
 def power_pair(b: float, db: float, e: float, de: float) -> tuple[float, float]:
     """b^e with its derivative, from the (value, derivative) pairs of b and e.
 
-    Negative bases need integer exponents; a variable exponent needs b > 0.
+    The value has the domain of `_pow_float`; a variable exponent needs b > 0.
     """
     if de == 0.0:
         # Constant exponent: d/dt b^e = e * b^(e-1) * b'.
         if b > 0.0:
             return math.pow(b, e), e * math.pow(b, e - 1.0) * db
-        if b == 0.0:
-            if e == 0.0:
-                return 1.0, 0.0
-            if e == 1.0:
-                return 0.0, db
-            if e > 1.0:
-                if db < 0.0 and not float(e).is_integer():
-                    # The base turns negative just right of this point.
-                    raise DomainError("negative base with non-integer exponent")
-                return 0.0, 0.0
-            if e > 0.0:
-                raise NonDifferentiableError(
-                    f"x^{e!r} has no finite derivative at x = 0"
-                )
-            raise DomainError("zero base with negative exponent")
-        if float(e).is_integer():
-            return math.pow(b, e), e * math.pow(b, e - 1.0) * db
-        raise DomainError("negative base with non-integer exponent")
+        v = _pow_float(b, e)
+        if b != 0.0:
+            return v, e * math.pow(b, e - 1.0) * db
+        # Zero base, e >= 0 or NaN (_pow_float refused e < 0): the derivative rules.
+        if e == 1.0:
+            return v, db
+        if 0.0 < e < 1.0:
+            raise NonDifferentiableError(f"x^{e!r} has no finite derivative at x = 0")
+        if e > 1.0 and db < 0.0 and not float(e).is_integer():
+            # The base turns negative just right of this point.
+            raise DomainError("negative base with non-integer exponent")
+        return v, 0.0
     # Variable exponent: b^e = exp(e ln b) requires b > 0.
     if b <= 0.0:
         raise DomainError("variable exponent requires a positive base")
@@ -426,7 +422,7 @@ _PAIR_RULES: dict[str, tuple[str, ...]] = {
     "+": ("{r} = {a} + {b}", "{rd} = {ad} + {bd}"),
     "-": ("{r} = {a} - {b}", "{rd} = {ad} - {bd}"),
     "*": ("{r} = {a} * {b}", "{rd} = {ad} * {b} + {a} * {bd}"),
-    "/": ("if {b} == 0.0: _dual_division_by_zero()", "{r} = {a} / {b}",
+    "/": ("if {b} == 0.0: _division_by_zero(t)", "{r} = {a} / {b}",
           "{rd} = ({ad} - {r} * {bd}) / {b}"),
     "^": ("{r}, {rd} = _pow_pair({a}, {ad}, {b}, {bd})",),
     "u-": ("{r} = -{a}", "{rd} = -{ad}"),
@@ -451,7 +447,6 @@ _GLOBALS: dict = {
     "_sqrt": math.sqrt, "_abs": abs,
     "_pow_float": _pow_float, "_pow_pair": power_pair,
     "_division_by_zero": _division_by_zero,
-    "_dual_division_by_zero": _dual_division_by_zero,
     "_ln_domain": _ln_domain, "_sqrt_domain": _sqrt_domain,
     "_abs_kink": _abs_kink, "_sqrt_kink": _sqrt_kink,
     "_inf": math.inf, "_ninf": -math.inf, "_nan": math.nan,

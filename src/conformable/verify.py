@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Sequence
 
 from .core import (
     EvalResult,
@@ -713,19 +712,15 @@ class VerificationReport(Record):
         )
 
     def to_text(self) -> str:
-        modes = [m for m in (TerminalMode.ORIGINAL, TerminalMode.CORRECTED)
-                 if any(o.mode is m for o in self.outcomes)]
         by_key = {(o.check_id, o.mode): o for o in self.outcomes}
         width = max(len(c) for c in CHECK_IDS) + 2
-        lines = ["check".ljust(width) + "".join(m.value.ljust(18) for m in modes)]
-        lines.append("-" * (width + 18 * len(modes)))
+        lines = ["check".ljust(width) + "".join(m.value.ljust(18) for m in TerminalMode)]
+        lines.append("-" * (width + 18 * len(TerminalMode)))
         for check in CHECK_IDS:
             cells = []
-            for m in modes:
-                o = by_key.get((check, m))
-                if o is None:
-                    cells.append("-".ljust(18))
-                elif o.status == "pass":
+            for m in TerminalMode:
+                o = by_key[(check, m)]
+                if o.status == "pass":
                     cells.append(f"pass ({o.worst_residual:.2e})".ljust(18))
                 elif o.status == "fail":
                     cells.append("FAIL".ljust(18))
@@ -738,13 +733,11 @@ class VerificationReport(Record):
         return "\n".join(lines) + "\n"
 
 
-def run_all(modes: Sequence[TerminalMode] | None = None) -> VerificationReport:
-    """Run every check for the requested modes over the built-in registry."""
-    if modes is None:
-        modes = (TerminalMode.ORIGINAL, TerminalMode.CORRECTED)
+def run_all() -> VerificationReport:
+    """Run every check under both conventions over the built-in registry."""
     outcomes: list[CheckOutcome] = []
     results = _Results()
-    for mode in modes:
+    for mode in TerminalMode:
         outcomes.append(check_algebra_rules(mode, results))
         outcomes.append(check_order_relation(mode, results))
         outcomes.append(check_inverses(mode, results))

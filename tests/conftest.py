@@ -31,6 +31,6 @@ def verify_run(tmp_path_factory, default_report):
     path = tmp_path_factory.mktemp("verify") / "report.json"
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
-        mp.setattr(cli, "run_all", lambda modes: default_report)
+        mp.setattr(cli, "run_all", lambda: default_report)
         code = cli.main(["verify", "--json", str(path)])
     return code, out.getvalue(), path.read_bytes()

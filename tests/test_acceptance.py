@@ -28,6 +28,7 @@ from conformable.cli import main
 
 F = FuncSpec.from_source
 GOLDEN_REPORT = Path(__file__).parent / "data" / "verify_report.json"
+GOLDEN_TABLE = Path(__file__).parent / "data" / "verify_table.txt"
 ORIGINAL = TerminalMode.ORIGINAL
 CORRECTED = TerminalMode.CORRECTED
 
@@ -311,3 +312,11 @@ def test_verify_report_matches_golden(verify_json):
     code, payload = verify_json
     assert code == 0
     assert payload == GOLDEN_REPORT.read_bytes()
+
+
+def test_verify_table_matches_golden(verify_run):
+    """The table `conformable verify` prints is byte-identical to the
+    committed one."""
+    code, out, _ = verify_run
+    assert code == 0
+    assert out.encode("utf-8") == GOLDEN_TABLE.read_bytes()

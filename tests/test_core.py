@@ -412,6 +412,16 @@ def test_terminal_original_ignores_a_kink_away_from_the_terminal():
     assert deriv_at_terminal(f, 1.0, 0.0, ORIGINAL) == EvalResult.of(-1.0, 0.0)
 
 
+def test_terminal_kink_at_the_terminal():
+    # Forward mode refuses abs at its kink, so both conventions extrapolate
+    # along the mesh: CORRECTED the right difference quotient, ORIGINAL f'.
+    f = F("abs(t-1)")
+    for mode in (CORRECTED, ORIGINAL):
+        r = deriv_at_terminal(f, 1.0, 1.0, mode)
+        assert r.exists and abs(r.value - 1.0) <= 1e-9, (mode, r)
+    assert deriv_at_terminal(f, 0.5, 1.0, CORRECTED) == EvalResult.of(0.0, 0.0)
+
+
 def test_terminal_original_reason_names_first_bad_mesh_point():
     # Forward mode refuses t^0.4 at 0, so the mesh runs and meets the kink;
     # the value does not exist, as alpha > 0.4.

@@ -45,7 +45,7 @@ def test_quotient_rule(a, da, b, db):
 
 
 def test_division_by_zero():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^division by zero at t=0\.0$"):
         _pair("1/t")
 
 

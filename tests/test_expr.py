@@ -360,9 +360,9 @@ _FLOAT_FUNCTIONS = {
 
 # The pair rules of the forward-mode number type that `_walk_dual` used,
 # on (value, derivative) tuples.
-def _pair_div(num, den):
+def _pair_div(num, den, t):
     if den[0] == 0.0:
-        raise DomainError("division by zero")
+        raise DomainError(f"division by zero at t={t!r}")
     v = num[0] / den[0]
     return v, (num[1] - v * den[1]) / den[0]
 
@@ -416,7 +416,7 @@ def _walk_dual(node, t):
         if op == "*":
             return a * b, da * b + a * db
         if op == "/":
-            return _pair_div((a, da), (b, db))
+            return _pair_div((a, da), (b, db), t[0])
         return power_pair(a, da, b, db)
     if isinstance(node, Const):
         return node.value, 0.0
@@ -522,6 +522,9 @@ def test_compiled_matches_reference_walkers(node, t):
         ("sin(t^2)/sin(t^2) + ln(sin(t^2))", 1.3, "ok", "ok"),
         ("exp(t^2)", 100.0, NonFiniteError, NonFiniteError),  # overflow
         ("1e999*t", 1.0, NonFiniteError, NonFiniteError),  # infinite constant
+        ("0^(1e999-1e999)", 1.0, NonFiniteError, NonFiniteError),  # NaN exponent
+        ("(-1)^(1e999-1e999)", 1.0, NonFiniteError, NonFiniteError),
+        ("(0*1e999)^0.5", 1.0, NonFiniteError, NonFiniteError),  # NaN base
         ("sin(1e999)", 1.0, ValueError, ValueError),
         ("-2*-t - -(t)", 1.5, "ok", "ok"),
     ],

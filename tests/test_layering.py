@@ -68,7 +68,7 @@ SIGNATURES = {
     expr.evaluate: ("f", "t", "a"),
     expr.evaluate_body: ("f", "t"),
     expr.evaluate_dual: ("f", "t"),
-    verify.run_all: ("modes",),
+    verify.run_all: (),
     verify.check_algebra_rules: ("mode", "results"),
     verify.check_order_relation: ("mode", "results"),
     verify.check_inverses: ("mode", "results"),
