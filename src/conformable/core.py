@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 from .errors import DomainError, NonDifferentiableError, NonFiniteError, PreconditionError
@@ -147,29 +148,34 @@ def _neville_best(samples: Sequence[float], factors: Sequence[float]) -> tuple[f
     Returns the tableau entry with the smallest local error estimate: the
     larger of its distances to the two entries it was built from.
     """
-    col = list(samples)
-    best = col[-1]
-    best_err = abs(col[-1] - col[-2]) if len(col) > 1 else math.inf
-    for fac in factors:
-        if len(col) < 2:
-            break
-        den = fac - 1.0
-        lo = col[0]
-        nxt = []
-        for hi in col[1:]:
-            val = hi + (hi - lo) / den
-            nxt.append(val)
-            err = abs(val - hi)
-            # The second distance can only matter once the first beats best_err.
-            if err < best_err:
-                far = abs(val - lo)
-                if far > err:
-                    err = far
-                if err < best_err:
-                    best, best_err = val, err
-            lo = hi
+    return _tableau(len(samples), len(factors))(samples, factors)
+
+
+@lru_cache(maxsize=64)
+def _tableau(n: int, m: int) -> Callable:
+    """`_neville_best` for n samples and m factors, as straight-line code.
+
+    Compiled on first use.  Entry i of column j + 1 is ``hi + (hi - lo) /
+    (factors[j] - 1.0)`` from entries lo = i and hi = i + 1 of column j.
+    Its error is y = |val - lo| where y > x = |val - hi|, else x; y is
+    measured only once x beats the best so far, which picks the same
+    entry, bit for bit, as measuring it every time.
+    """
+    col = [f"c0_{i}" for i in range(n)]
+    lines = [f"{', '.join(col)}, = s", f"b = {col[-1]}",
+             f"e = abs({col[-1]} - {col[-2]})" if n > 1 else "e = _inf"]
+    for j in range(min(m, n - 1)):
+        lines.append(f"d = f[{j}] - 1.0")
+        nxt = [f"c{j + 1}_{i}" for i in range(len(col) - 1)]
+        for val, lo, hi in zip(nxt, col, col[1:]):
+            lines += [f"{val} = {hi} + ({hi} - {lo}) / d",
+                      f"if (x := abs({val} - {hi})) < e and "
+                      f"(x := y if (y := abs({val} - {lo})) > x else x) < e: b = {val}; e = x"]
         col = nxt
-    return best, best_err
+    source = "def _t(s, f):\n" + "".join(f"    {line}\n" for line in lines) + "    return b, e\n"
+    namespace = {"__builtins__": {}, "abs": abs, "_inf": math.inf}
+    exec(compile(source, "<tableau>", "exec"), namespace)
+    return namespace["_t"]
 
 
 def _limit_of_power_sequence(values: Sequence[float]) -> tuple[float | None, float, str | None]:
@@ -326,6 +332,9 @@ def deriv_limit(f: Func, alpha: float, a: float, t: float) -> EvalResult:
 
 _NOT_CAUCHY = "extrapolated difference quotients are not Cauchy"
 
+_ONE_SIDED = tuple((1.0 / _SHRINK) ** j for j in range(1, _LEVELS))
+_CENTRAL = tuple((1.0 / _SHRINK) ** (2 * j) for j in range(1, _LEVELS))
+
 
 def _limit_from_quotients(
     point: PointFunc, t: float, f0: float, weight: float, theta0: float
@@ -343,12 +352,10 @@ def _limit_from_quotients(
         theta *= _SHRINK
     if any(abs(q) > _DIVERGENCE_CAP for q in forward + backward):
         return EvalResult.does_not_exist("difference quotients exceed the divergence cap")
-    r = 1.0 / _SHRINK
-    one_sided = [r**j for j in range(1, _LEVELS)]
-    v_fwd, e_fwd = _neville_best(forward, one_sided)
-    v_bwd, e_bwd = _neville_best(backward, one_sided)
+    v_fwd, e_fwd = _neville_best(forward, _ONE_SIDED)
+    v_bwd, e_bwd = _neville_best(backward, _ONE_SIDED)
     central = [0.5 * (p + q) for p, q in zip(forward, backward)]
-    v_ctr, e_ctr = _neville_best(central, [r ** (2 * j) for j in range(1, _LEVELS)])
+    v_ctr, e_ctr = _neville_best(central, _CENTRAL)
     scale = max(1.0, abs(v_ctr))
     if e_ctr > _CAUCHY_TOL * scale:
         return EvalResult.does_not_exist(_NOT_CAUCHY)

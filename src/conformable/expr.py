@@ -17,7 +17,8 @@ parenthesised group is a level) is rejected with `ParseError`.
 
 Evaluation lowers each body, once per path, to a straight-line Python
 function: the float path gives f(t), the pair path (f(t), f'(t)) in forward
-mode.  The function is compiled on the first evaluation of its path.
+mode.  The function is compiled on the first evaluation of its path and
+kept on the body's root node, so every spec built on that AST reuses it.
 """
 
 from __future__ import annotations
@@ -68,25 +69,35 @@ CODE_MEMO_SIZE = 1024
 # AST
 # --------------------------------------------------------------------------
 
+# Non-field slots of every node: its code per path as the root of a body.
+_CODE_SLOTS = ("_float_code", "_pair_code")
+
+
 class Const(Record):
+    __slots__ = _CODE_SLOTS
     value: float
 
 
 class Var(Record):
     """The free variable t."""
 
+    __slots__ = _CODE_SLOTS
+
 
 class Neg(Record):
+    __slots__ = _CODE_SLOTS
     operand: Expr
 
 
 class BinOp(Record):
+    __slots__ = _CODE_SLOTS
     op: str  # one of + - * / ^
     left: Expr
     right: Expr
 
 
 class Call(Record):
+    __slots__ = _CODE_SLOTS
     func: str
     arg: Expr
 
@@ -100,11 +111,10 @@ class FuncSpec(Record):
     With ``jump_at_terminal = c``, evaluation returns ``body(t) + c`` at
     exactly ``t = a`` and ``body(t)`` everywhere else.  Derivative-side
     evaluation (`evaluate_dual`) always uses the body.  The compiled code
-    of each path is cached on the spec; specs with equal bodies share it.
-    Equality, hashing and the repr use the body and the jump only.
+    of each path is kept on the body's root node, not on the spec; specs
+    with equal bodies share it.
     """
 
-    __slots__ = ("_float_code", "_pair_code")
     body: Expr
     jump_at_terminal: float | None = None
 
@@ -531,18 +541,16 @@ def _compiled(body: Expr, pair: bool) -> Callable:
     return namespace["_f"]
 
 
-def _code(f: FuncSpec, pair: bool) -> Callable:
-    """One path of f's body, kept on the spec for its later evaluations."""
-    fn = _compiled(f.body, pair)
-    object.__setattr__(f, "_pair_code" if pair else "_float_code", fn)
+def _code(body: Expr, pair: bool) -> Callable:
+    """One path of `body`, kept on its root node for its later evaluations."""
+    fn = _compiled(body, pair)
+    object.__setattr__(body, "_pair_code" if pair else "_float_code", fn)
     return fn
 
 
 def evaluate_body(f: FuncSpec, t: float) -> float:
     """Evaluate the expression body at t, ignoring any jump decoration."""
-    fn = f._float_code
-    if fn is None:
-        fn = _code(f, False)
+    fn = f.body._float_code or _code(f.body, False)
     try:
         v = fn(float(t))
     except OverflowError as exc:
@@ -564,9 +572,7 @@ def evaluate(f: FuncSpec, t: float, a: float) -> float:
 
 def evaluate_dual(f: FuncSpec, t: float) -> tuple[float, float]:
     """Evaluate the pair (f(t), f'(t)) in forward mode; jump decorations are ignored."""
-    fn = f._pair_code
-    if fn is None:
-        fn = _code(f, True)
+    fn = f.body._pair_code or _code(f.body, True)
     try:
         value, deriv = fn(float(t))
     except OverflowError as exc:

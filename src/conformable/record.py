@@ -17,7 +17,7 @@ def _build(cls: type, method: str):
     """Compile `method` for record class `cls` and install it on the class."""
     fields = cls._fields
     # Equality and hashing read the fields inline: the first evaluation of
-    # every new FuncSpec hashes its body for the code memo, and a loop over
+    # every new AST hashes it for the code memo, and a loop over
     # ``_fields`` hashed a tree four times more slowly.
     mine = "".join(f"self.{name}, " for name in fields)
     if method == "__init__":

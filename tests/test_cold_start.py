@@ -1,8 +1,9 @@
 """Importing the package loads the operators, not the verification harness.
 
 Each import runs in a fresh isolated interpreter, which reports the modules
-the import added to those the interpreter had already loaded.  Only module
-sets are compared, never times, so the tests are deterministic.
+the import added to those the interpreter had already loaded, or the size of
+a code memo.  Only module sets and memo sizes are compared, never times, so
+the tests are deterministic.
 """
 
 import subprocess
@@ -39,6 +40,25 @@ def test_cli_import_leaves_out_the_harness():
     added = _modules_added_by("conformable.cli")
     assert "conformable.cli" in added
     assert added & {"json", "hashlib", "conformable.verify"} == set()
+
+
+_TABLEAU_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import conformable
+from conformable import core
+print(core._tableau.cache_info().currsize)
+conformable.deriv_limit(conformable.FuncSpec.from_source("sin(t)"), 0.5, 0.0, 1.0)
+print(core._tableau.cache_info().currsize)
+"""
+
+
+def test_tableau_code_is_made_on_first_use_only():
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", _TABLEAU_PROBE, str(SRC)],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout.split() == ["0", "1"]
 
 
 def test_harness_names_resolve_through_the_package():

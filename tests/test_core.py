@@ -1,8 +1,9 @@
 import math
+import random
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conformable import (
     EvalResult,
@@ -20,7 +21,8 @@ from conformable import (
 from conformable import core
 from conformable.core import checked_order
 from conformable.errors import DomainError, NonDifferentiableError, PreconditionError
-from conformable.expr import BinOp, Call, Const, Neg, Var
+from conformable.expr import BinOp, Call, Const, Neg, Var, parse
+from conformable.verify import registry_for
 
 F = FuncSpec.from_source
 ORIGINAL = TerminalMode.ORIGINAL
@@ -272,7 +274,12 @@ def test_linearity_of_both_routes():
 # --------------------------------------------------------------------------
 
 def _reference_neville_best(samples, factors):
-    """The tableau as first written, kept as the reference for the lean loop."""
+    """The tableau as a plain loop, the reference for the straight-line code.
+
+    `core._neville_best` runs code generated per shape (number of samples,
+    number of factors) that must return the same bits and raise the same
+    exceptions as this loop.
+    """
     col = list(samples)
     best = col[-1]
     best_err = abs(col[-1] - col[-2]) if len(col) > 1 else math.inf
@@ -291,10 +298,13 @@ def _reference_neville_best(samples, factors):
 
 
 def _outcome(fn, *args):
+    """A result's floats as bytes, or the type and message of what it raised."""
     try:
-        return "ok", tuple(struct.pack("<d", x) for x in fn(*args))
+        result = fn(*args)
     except Exception as exc:  # compared by type and message
         return "raised", type(exc), str(exc)
+    fields = result.as_dict().values() if isinstance(result, EvalResult) else result
+    return "ok", tuple(struct.pack("<d", x) if isinstance(x, float) else x for x in fields)
 
 
 _SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308]
@@ -317,12 +327,40 @@ def _factors(draw):
     return factors
 
 
+def _every_shape(test):
+    """One explicit example of each tableau shape: 1-12 samples, 0-12 factors."""
+    rng = random.Random(12)
+    for n_samples in range(1, 13):
+        for n_factors in range(13):
+            samples = [6.0 + 0.5**k * rng.uniform(-1.0, 1.0) for k in range(n_samples)]
+            if rng.random() < 0.3:
+                samples[rng.randrange(n_samples)] = rng.choice(_SPECIAL)
+            # Factors below 1 in magnitude make the first error distance the larger.
+            base = rng.choice((2.0, 4.0, 1.0 / 0.7, 0.3, -0.6))
+            factors = [base ** (j + 1) for j in range(n_factors)]
+            if factors and rng.random() < 0.2:
+                factors[rng.randrange(n_factors)] = 1.0
+            test = example(samples, factors)(test)
+    return test
+
+
 @settings(max_examples=600)
 @given(st.lists(_SAMPLE, min_size=1, max_size=12), _factors())
+@_every_shape
 def test_neville_best_matches_reference_bit_for_bit(samples, factors):
     assert _outcome(core._neville_best, samples, factors) == _outcome(
         _reference_neville_best, samples, factors
     )
+
+
+@pytest.mark.parametrize("n_samples", range(1, 13))
+def test_neville_best_never_reads_a_factor_past_its_last_column(n_samples):
+    # n samples make n - 1 columns; the factors after those are never reached.
+    samples = [1.0 / (k + 1) for k in range(n_samples)]
+    factors = [2.0**j for j in range(1, n_samples)] + [1.0, 1.0]
+    outcome = _outcome(core._neville_best, samples, factors)
+    assert outcome[0] == "ok"
+    assert outcome == _outcome(_reference_neville_best, samples, factors)
 
 
 @pytest.mark.parametrize("samples", [[1.0, 2.0, 2.5], [math.nan, 1.0, 2.0], [math.inf, -math.inf, 0.0]])
@@ -347,6 +385,64 @@ def test_neville_best_ties_and_nan_keep_reference_choice():
         assert _outcome(core._neville_best, samples, factors) == _outcome(
             _reference_neville_best, samples, factors
         )
+
+
+def _seeded_bodies(rng, a, count):
+    """Registry bodies and sums, products, quotients and compositions of them."""
+    specs = registry_for(a)
+    leaves = [spec.body for spec in specs.values()]
+    denominators = [specs["sine"].body, specs["cosine"].body]
+    bodies = []
+    for _ in range(count):
+        x, y = rng.choice(leaves), rng.choice(leaves)
+        op = rng.choice(("leaf", "+", "*", "/", "sin", "cos", "exp", "sq"))
+        if op == "leaf":
+            bodies.append(x)
+        elif op in ("+", "*"):
+            bodies.append(BinOp(op, x, y))
+        elif op == "/":
+            bodies.append(BinOp("/", x, Call("exp", rng.choice(denominators))))
+        elif op == "exp":  # a bounded argument, as the benchmark's composites
+            bodies.append(Call("exp", Call(rng.choice(("sin", "cos")), x)))
+        elif op == "sq":
+            bodies.append(BinOp("^", x, Const(2.0)))
+        else:
+            bodies.append(Call(op, x))
+    return bodies
+
+
+def _route_outcomes():
+    rng = random.Random(19)
+    out = []
+    for a in (0.0, 1.0, -2.0):
+        # Plus one body undefined just right of a and one with no limit there.
+        edges = [parse(f"(t-({a!r})-0.005)^1.5"), parse(f"sin(1/(t-({a!r})))")]
+        for body in _seeded_bodies(rng, a, 24) + edges:
+            f = FuncSpec(body, rng.choice((None, 5.0)))
+            alpha = rng.choice((0.1, 0.3, 0.5, 0.8, 0.9, 1.0))
+            t = a + rng.choice((1e-3, 0.1, 1.0, 4.0))
+            out += [
+                _outcome(deriv_limit, f, alpha, a, t),
+                _outcome(right_limit, lambda h: evaluate(f, a + h, a)),
+                _outcome(deriv_at_terminal, f, alpha, a, ORIGINAL),
+                _outcome(deriv_at_terminal, f, alpha, a, CORRECTED),
+            ]
+    return out
+
+
+def test_routes_return_the_reference_tableau_bits(monkeypatch):
+    generated = _route_outcomes()
+    shapes = set()
+
+    def reference(samples, factors):
+        shapes.add((len(samples), len(factors)))
+        return _reference_neville_best(samples, factors)
+
+    monkeypatch.setattr(core, "_neville_best", reference)
+    assert _route_outcomes() == generated
+    assert (12, 11) in shapes  # the shape of the limit route and of a full mesh
+    assert {o[0] for o in generated} == {"ok", "raised"}
+    assert any(o[0] == "ok" and o[1][2] is not None for o in generated)
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import io
 import keyword
 import math
+import pickle
 import re
 import struct
 import tokenize
@@ -612,5 +613,35 @@ def test_equal_bodies_share_compiled_code():
     assert evaluate(jumped, 1.0, 1.0) == 5.0
     assert evaluate(jumped, 2.0, 1.0) == 5.0
     assert evaluate_dual(plain, 1.0) == evaluate_dual(jumped, 1.0) == (2.0, 2.0)
-    assert plain._float_code is jumped._float_code
-    assert plain._pair_code is jumped._pair_code
+    assert plain.body._float_code is jumped.body._float_code
+    assert plain.body._pair_code is jumped.body._pair_code
+
+
+def test_a_repeated_source_text_reuses_the_code_on_its_ast(monkeypatch):
+    source = "t^3 - 2*sin(t) + exp(-t)"
+    first = FuncSpec.from_source(source)
+    values = evaluate_body(first, 1.5), evaluate_dual(first, 1.5)
+
+    def refuse(body, pair):
+        raise AssertionError("the code memo was consulted")
+
+    monkeypatch.setattr(expr, "_compiled", refuse)
+    again = FuncSpec.from_source(source, jump_at_terminal=2.0)
+    assert again.body is first.body
+    assert (evaluate_body(again, 1.5), evaluate_dual(again, 1.5)) == values
+
+
+def test_code_slots_stay_out_of_the_value_of_an_ast():
+    source = "t^2 + cos(t)"
+    compiled = parse(source)
+    evaluate_body(FuncSpec(compiled), 1.0)
+    evaluate_dual(FuncSpec(compiled), 1.0)
+    fresh = expr._Parser(source).parse()  # an equal AST that never ran
+    assert compiled._float_code is not None and compiled._pair_code is not None
+    assert fresh._float_code is None and fresh._pair_code is None
+    assert repr(compiled) == repr(fresh) and "_code" not in repr(compiled)
+    assert compiled == fresh and hash(compiled) == hash(fresh)
+    assert compiled.as_dict() == fresh.as_dict()
+    assert list(compiled.as_dict()) == ["op", "left", "right"]
+    copy = pickle.loads(pickle.dumps(compiled))
+    assert copy == compiled and copy._float_code is None and copy._pair_code is None
