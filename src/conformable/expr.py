@@ -18,7 +18,8 @@ parenthesised group is a level) is rejected with `ParseError`.
 Evaluation lowers each body, once per path, to a straight-line Python
 function: the float path gives f(t), the pair path (f(t), f'(t)) in forward
 mode.  The function is compiled on the first evaluation of its path and
-kept on the body's root node, so every spec built on that AST reuses it.
+kept on the body's root node, so every spec built on that AST reuses it,
+and an equal AST built apart compiles its own.
 """
 
 from __future__ import annotations
@@ -59,10 +60,8 @@ __all__ = [
 # recursion limit.
 MAX_DEPTH = 100
 
-# Bounds of the memo of `parse` (entries keyed by source text) and of the
-# memo of compiled code (twice as many entries, one per AST and path).
+# Entries of the memo of `parse`, the one memo of this module, keyed by source text.
 PARSE_MEMO_SIZE = 1024
-CODE_MEMO_SIZE = 1024
 
 
 # --------------------------------------------------------------------------
@@ -112,7 +111,7 @@ class FuncSpec(Record):
     exactly ``t = a`` and ``body(t)`` everywhere else.  Derivative-side
     evaluation (`evaluate_dual`) always uses the body.  The compiled code
     of each path is kept on the body's root node, not on the spec; specs
-    with equal bodies share it.
+    built on one AST share it.
     """
 
     body: Expr
@@ -530,20 +529,11 @@ def _lower(body: Expr, pair: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Compiled code per (body, path), least recently used dropped first.  Keys
-# compare as ASTs do, so a hand-built Const(-0.0) shares the code of Const(0.0);
-# the parser never builds a signed zero.
-@lru_cache(maxsize=2 * CODE_MEMO_SIZE)
-def _compiled(body: Expr, pair: bool) -> Callable:
-    """One path of `body` as a plain function of t, compiled on first use."""
+def _code(body: Expr, pair: bool) -> Callable:
+    """One path of `body` as a plain function of t, kept on its root node."""
     namespace: dict = {}
     exec(compile(_lower(body, pair), "<expr>", "exec"), _GLOBALS, namespace)
-    return namespace["_f"]
-
-
-def _code(body: Expr, pair: bool) -> Callable:
-    """One path of `body`, kept on its root node for its later evaluations."""
-    fn = _compiled(body, pair)
+    fn = namespace["_f"]
     object.__setattr__(body, "_pair_code" if pair else "_float_code", fn)
     return fn
 

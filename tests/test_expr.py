@@ -468,8 +468,8 @@ def _assert_matches_reference(node, t):
 
 
 _CONSTANTS = st.one_of(
-    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 1e-3, 1e300, math.inf]),
-    st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 2.0, 3.0, 1e-3, 1e300, math.inf, -math.inf]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
 )
 _POINTS = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.5, 0.5, 3.0]),
@@ -494,6 +494,13 @@ def _random_trees():
 @given(_random_trees(), _POINTS)
 def test_compiled_matches_reference_walkers(node, t):
     _assert_matches_reference(node, t)
+
+
+@pytest.mark.parametrize("constants", [(0.0, -0.0), (-0.0, 0.0)])
+def test_signed_zero_constants_keep_their_bits(constants):
+    # Equal ASTs of either zero, evaluated one after the other.
+    for c in constants:
+        _assert_matches_reference(BinOp("*", Const(c), Var()), 5.0)
 
 
 @pytest.mark.parametrize(
@@ -577,7 +584,7 @@ def test_generated_source_holds_only_fixed_names_and_floats():
 
 
 # --------------------------------------------------------------------------
-# memos and the closed set of functions
+# the parse memo, code on the AST and the closed set of functions
 # --------------------------------------------------------------------------
 
 def test_parse_memo_returns_the_same_ast():
@@ -589,9 +596,11 @@ def test_hand_built_unknown_call_is_refused():
     with pytest.raises(UnknownIdentifierError) as parsed:
         parse("cube(t)")
     for fn in (evaluate_body, evaluate_dual):
-        with pytest.raises(UnknownIdentifierError) as refused:
-            fn(f, 2.0)
-        assert str(refused.value) == str(parsed.value)
+        for _ in range(2):  # a refusal stores nothing, so it is met again
+            with pytest.raises(UnknownIdentifierError) as refused:
+                fn(f, 2.0)
+            assert str(refused.value) == str(parsed.value)
+    assert f.body._float_code is None and f.body._pair_code is None
 
 
 def test_compiling_leaves_the_globals_unchanged():
@@ -605,16 +614,41 @@ def test_compiling_leaves_the_globals_unchanged():
     assert expr.FUNCTIONS == {"sin", "cos", "exp", "ln", "abs", "sqrt"}
 
 
-def test_equal_bodies_share_compiled_code():
-    plain = FuncSpec.from_source("t^2 + 1")
-    jumped = FuncSpec(parse("t^2+1"), jump_at_terminal=3.0)
-    assert plain.body is not jumped.body
+def _lowerings(monkeypatch) -> list:
+    """The (body, pair) of every lowering from here on, in order."""
+    lowered = []
+    lower = expr._lower
+
+    def counting(body, pair):
+        lowered.append((body, pair))
+        return lower(body, pair)
+
+    monkeypatch.setattr(expr, "_lower", counting)
+    return lowered
+
+
+def _lowered_paths(lowered, body) -> list:
+    assert all(b is body for b, _ in lowered)
+    return [pair for _, pair in lowered]
+
+
+def test_one_ast_lowers_once_per_path_and_an_equal_one_lowers_its_own(monkeypatch):
+    lowered = _lowerings(monkeypatch)
+    body = expr._Parser("t^2 + 1").parse()  # an AST that never ran
+    plain, jumped = FuncSpec(body), FuncSpec(body, jump_at_terminal=3.0)
     assert evaluate(plain, 1.0, 1.0) == 2.0
     assert evaluate(jumped, 1.0, 1.0) == 5.0
     assert evaluate(jumped, 2.0, 1.0) == 5.0
     assert evaluate_dual(plain, 1.0) == evaluate_dual(jumped, 1.0) == (2.0, 2.0)
-    assert plain.body._float_code is jumped.body._float_code
-    assert plain.body._pair_code is jumped.body._pair_code
+    assert evaluate_dual(FuncSpec(body, jump_at_terminal=-1.0), 3.0) == (10.0, 6.0)
+    assert _lowered_paths(lowered, body) == [False, True]
+    apart = FuncSpec(expr._Parser("t^2+1").parse(), jump_at_terminal=3.0)
+    assert apart.body == body and apart.body is not body
+    assert evaluate(apart, 1.0, 1.0) == 5.0
+    assert evaluate_dual(apart, 1.0) == (2.0, 2.0)
+    assert _lowered_paths(lowered[2:], apart.body) == [False, True]
+    assert apart.body._float_code is not body._float_code
+    assert apart.body._pair_code is not body._pair_code
 
 
 def test_a_repeated_source_text_reuses_the_code_on_its_ast(monkeypatch):
@@ -623,12 +657,25 @@ def test_a_repeated_source_text_reuses_the_code_on_its_ast(monkeypatch):
     values = evaluate_body(first, 1.5), evaluate_dual(first, 1.5)
 
     def refuse(body, pair):
-        raise AssertionError("the code memo was consulted")
+        raise AssertionError("the body was lowered again")
 
-    monkeypatch.setattr(expr, "_compiled", refuse)
+    monkeypatch.setattr(expr, "_lower", refuse)
     again = FuncSpec.from_source(source, jump_at_terminal=2.0)
     assert again.body is first.body
     assert (evaluate_body(again, 1.5), evaluate_dual(again, 1.5)) == values
+
+
+def test_a_cleared_parse_memo_gives_a_new_ast_that_lowers_again(monkeypatch):
+    source = "t^4 - cos(t)/2"
+    first = FuncSpec.from_source(source)
+    values = evaluate_body(first, 0.5), evaluate_dual(first, 0.5)
+    expr.parse.cache_clear()
+    lowered = _lowerings(monkeypatch)
+    again = FuncSpec.from_source(source)
+    assert again.body is not first.body and again.body == first.body
+    assert again.body._float_code is None and again.body._pair_code is None
+    assert (evaluate_body(again, 0.5), evaluate_dual(again, 0.5)) == values
+    assert _lowered_paths(lowered, again.body) == [False, True]
 
 
 def test_code_slots_stay_out_of_the_value_of_an_ast():
