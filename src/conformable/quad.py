@@ -4,12 +4,14 @@ The integral ∫_a^t (s-a)^(alpha-1) f(s) ds is improper at s = a.  The
 substitution u = (s-a)^alpha removes the singularity exactly: the
 integrand becomes (1/alpha) * f(a + u^(1/alpha)) on [0, (t-a)^alpha],
 which is bounded whenever f is bounded near a.  Adaptive Gauss-Kronrod
-(7, 15) quadrature, splitting the worst panel in half or, at u = 0, at a
-quarter, then supplies a trustworthy error bound.
+(7, 15) quadrature over u, splitting the worst panel in half or, at u = 0,
+at a quarter, then supplies a trustworthy error bound; each panel maps its
+own nodes back to s.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from typing import Callable
@@ -70,37 +72,52 @@ _WG = (
 )
 
 
-def _gk15(fn: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """15-point Kronrod estimate and |K15 - G7| error bound on one panel."""
+# The seven node pairs off the centre as (xgk, wgk, wg or None): every
+# second pair is also a Gauss node.
+_NODES = tuple((_XGK[j], _WGK[j], _WG[j // 2] if j % 2 else None) for j in range(7))
+
+
+def _gk15(
+    point: Callable[[FuncSpec, float], float],
+    f: FuncSpec,
+    av: float,
+    inv: float,
+    lo: float,
+    hi: float,
+) -> tuple[float, float]:
+    """15-point Kronrod estimate and |K15 - G7| error bound on the panel
+    [lo, hi] in u, of u -> inv * point(f, av + u^inv)."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    fc = fn(center)
+    fc = inv * point(f, av + math.pow(center, inv))
     resk = _WGK[7] * fc
     resg = _WG[3] * fc
-    for j in range(7):
-        x = half * _XGK[j]
-        pair = fn(center - x) + fn(center + x)
-        resk += _WGK[j] * pair
-        if j % 2 == 1:
-            resg += _WG[j // 2] * pair
+    for xgk, wgk, wg in _NODES:
+        x = half * xgk
+        pair = inv * point(f, av + math.pow(center - x, inv))
+        pair += inv * point(f, av + math.pow(center + x, inv))
+        resk += wgk * pair
+        if wg is not None:
+            resg += wg * pair
     return resk * half, abs((resk - resg) * half)
 
 
 def _adaptive_quad(
-    fn: Callable[[float], float],
+    panel: Callable[[float, float], tuple[float, float]],
     lo: float,
     hi: float,
     abs_tol: float,
     rel_tol: float,
 ) -> tuple[float, float]:
-    """Split the worst panel until the summed error bound meets tolerance.
+    """Split the worst panel until the summed error bound meets tolerance;
+    `panel(lo, hi)` gives one panel's (value, bound).
 
     The panel at `lo`, where `integral`'s substitution leaves its one
     singularity, splits at a quarter (a graded mesh); any other in half.
     Deterministic: the heap order is a total order on (error, position) and
     the final value is the left-to-right sum over the panel tree's leaves.
     """
-    val, err = _gk15(fn, lo, hi)
+    val, err = panel(lo, hi)
     panels = [(-err, lo, hi, val, err)]
     total_val, total_err = val, err
     splits = 0
@@ -123,8 +140,8 @@ def _adaptive_quad(
         mid = p_lo + 0.25 * (p_hi - p_lo) if p_lo == lo else 0.5 * (p_lo + p_hi)
         if not p_lo < mid < p_hi:
             raise ConvergenceError("panel width underflowed before tolerances were met")
-        v1, e1 = _gk15(fn, p_lo, mid)
-        v2, e2 = _gk15(fn, mid, p_hi)
+        v1, e1 = panel(p_lo, mid)
+        v2, e2 = panel(mid, p_hi)
         total_val += v1 + v2 - p_val
         total_err += e1 + e2 - p_err
         heapq.heappush(panels, (-e1, p_lo, mid, v1, e1))
@@ -144,14 +161,8 @@ def _substituted(
 ) -> tuple[float, float]:
     """`_adaptive_quad`'s (value, bound) for ∫_a^t (s-a)^(al-1) point(f, s) ds,
     taken as (1/al) ∫_0^((t-a)^al) point(f, a + u^(1/al)) du."""
-    upper = positive_power(t - av, al)
-    inv_alpha = 1.0 / al
-
-    def fn(u: float) -> float:
-        s = av + (math.pow(u, inv_alpha) if u > 0.0 else 0.0)
-        return inv_alpha * point(f, s)
-
-    return _adaptive_quad(fn, 0.0, upper, ABS_TOL, REL_TOL)
+    panel = functools.partial(_gk15, point, f, av, 1.0 / al)
+    return _adaptive_quad(panel, 0.0, positive_power(t - av, al), ABS_TOL, REL_TOL)
 
 
 def integral(f: FuncSpec, alpha: float, a: float, t: float) -> EvalResult:
@@ -180,13 +191,16 @@ def deriv_of_integral(f: FuncSpec, alpha: float, a: float, t: float) -> EvalResu
     # Each probe integrates over [t, x] alone, so nothing large cancels.
     integral(f, al, av, t)
 
-    def weighted(s: float) -> float:
+    def weighted(f: FuncSpec, s: float) -> float:
         return positive_power(s - av, al - 1.0) * evaluate_body(f, s)
+
+    # The identity substitution (a = 0, 1/alpha = 1) leaves every node's bits.
+    panel = functools.partial(_gk15, weighted, f, 0.0, 1.0)
 
     def g(x: float) -> float:
         if x < t:
-            return -_adaptive_quad(weighted, x, t, _PROBE_TOL, _PROBE_TOL)[0]
-        return _adaptive_quad(weighted, t, x, _PROBE_TOL, _PROBE_TOL)[0]
+            return -_adaptive_quad(panel, x, t, _PROBE_TOL, _PROBE_TOL)[0]
+        return _adaptive_quad(panel, t, x, _PROBE_TOL, _PROBE_TOL)[0]
 
     return deriv_limit(g, al, av, t)
 

@@ -222,9 +222,11 @@ class _Results(dict):
     """One run's operator results, keyed by the operator function itself
     (looked up in this module's globals at each call, so a patched operator
     gets its own entries) and its arguments; each is computed on first request.
+    The binary rules' combined functions live here too, so that each is
+    built, and its code compiled, once per run.
     """
 
-    def __call__(self, op, *args) -> EvalResult:
+    def __call__(self, op, *args) -> EvalResult | FuncSpec:
         key = (op, *args)
         r = self.get(key)
         if r is None:
@@ -257,17 +259,21 @@ _BINARY_RULES = (
 _ROUTE_KEYS = ("square", "sine", "exponential")
 
 
-def _rule_cases(funcs) -> list[tuple]:
+def _combined(op: str, f: FuncSpec, g: FuncSpec, c: float | None, d: float | None):
+    """The function a binary rule makes of f and g."""
+    if op == "+":
+        return FuncSpec(BinOp("+", BinOp("*", Const(c), f.body), BinOp("*", Const(d), g.body)))
+    return FuncSpec(BinOp(op, f.body, g.body))
+
+
+def _rule_cases(funcs, results: _Results) -> list[tuple]:
     """Each binary rule as (label, op, f, g, combined function, c, d, rtol)."""
     cases = []
     for op, fk, gk, c, d in _BINARY_RULES:
         f, g = funcs[fk], funcs[gk]
-        if op == "+":
-            label = f"{c}*{fk}+{d}*{gk}"
-            body = BinOp("+", BinOp("*", Const(c), f.body), BinOp("*", Const(d), g.body))
-        else:
-            label, body = f"{fk}{op}{gk}", BinOp(op, f.body, g.body)
-        cases.append((label, op, f, g, FuncSpec(body), c, d, _RULE_RTOL[op]))
+        label = f"{c}*{fk}+{d}*{gk}" if op == "+" else f"{fk}{op}{gk}"
+        combined = results(_combined, op, f, g, c, d)
+        cases.append((label, op, f, g, combined, c, d, _RULE_RTOL[op]))
     return cases
 
 
@@ -294,7 +300,7 @@ def check_algebra_rules(mode: TerminalMode, results: _Results | None = None) -> 
     col = _Collector("algebra_rules", mode)
     for a in TERMINALS:
         funcs = registry_for(a)
-        cases = _rule_cases(funcs)
+        cases = _rule_cases(funcs, results)
         for off in T_OFFSETS:
             t = a + off
             for alpha in ALPHAS:

@@ -1,4 +1,6 @@
+import functools
 import math
+import struct
 import sys
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from conformable import (
     integral_of_deriv,
 )
 from conformable import quad
+from conformable.core import positive_power
 from conformable.errors import ConvergenceError, NonFiniteError, PreconditionError
 
 F = FuncSpec.from_source
@@ -87,12 +90,13 @@ def test_integral_additivity():
     alpha, a, t1, t2 = 0.7, 0.0, 1.5, 4.0
     whole = integral(f, alpha, a, t2)
     first = integral(f, alpha, a, t1)
-    from conformable.quad import _adaptive_quad
+    from conformable.quad import _adaptive_quad, _gk15
 
-    def weighted(s):
+    def weighted(f, s):
         return (s - a) ** (alpha - 1.0) * evaluate_body(f, s)
 
-    rest, _ = _adaptive_quad(weighted, t1, t2, quad.ABS_TOL, quad.REL_TOL)
+    panel = functools.partial(_gk15, weighted, f, 0.0, 1.0)
+    rest, _ = _adaptive_quad(panel, t1, t2, quad.ABS_TOL, quad.REL_TOL)
     tol = whole.err_estimate + first.err_estimate + 1e-9
     assert abs(whole.value - (first.value + rest)) <= tol
 
@@ -129,9 +133,9 @@ def gk15_panels(monkeypatch):
     panels = []
     gk15 = quad._gk15
 
-    def counting(fn, lo, hi):
+    def counting(point, f, av, inv, lo, hi):
         panels.append((lo, hi))
-        return gk15(fn, lo, hi)
+        return gk15(point, f, av, inv, lo, hi)
 
     monkeypatch.setattr(quad, "_gk15", counting)
     return panels
@@ -308,3 +312,95 @@ def test_compositions_require_interior_point():
         deriv_of_integral(F("1"), 0.5, 0.0, 0.0)
     with pytest.raises(PreconditionError):
         integral_of_deriv(F("1"), 0.5, 0.0, -1.0)
+
+
+# --------------------------------------------------------------------------
+# the panel rule against the closure form it replaced
+# --------------------------------------------------------------------------
+
+def _reference_gk15(fn, lo, hi):
+    """One GK15 panel of a plain integrand, with the sums in the same order."""
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    fc = fn(center)
+    resk = quad._WGK[7] * fc
+    resg = quad._WG[3] * fc
+    for j in range(7):
+        x = half * quad._XGK[j]
+        pair = fn(center - x) + fn(center + x)
+        resk += quad._WGK[j] * pair
+        if j % 2 == 1:
+            resg += quad._WG[j // 2] * pair
+    return resk * half, abs((resk - resg) * half)
+
+
+def _reference_substituted(point, f, al, av, t):
+    """The substitution u = (s-a)^al in a closure over the integrand."""
+    upper = positive_power(t - av, al)
+    inv_alpha = 1.0 / al
+
+    def fn(u):
+        s = av + (math.pow(u, inv_alpha) if u > 0.0 else 0.0)
+        return inv_alpha * point(f, s)
+
+    panel = lambda lo, hi: _reference_gk15(fn, lo, hi)
+    return quad._adaptive_quad(panel, 0.0, upper, quad.ABS_TOL, quad.REL_TOL)
+
+
+def _reference_probe_panel(point, f, av, inv, lo, hi):
+    # With the substitution in the closure, only the probes of
+    # deriv_of_integral reach the panel, and they integrate in s itself.
+    assert (av, inv) == (0.0, 1.0)
+    return _reference_gk15(lambda s: point(f, s), lo, hi)
+
+
+def _outcome(fn, *args):
+    """A result's floats as bytes, or the type and message of what it raised."""
+    try:
+        result = fn(*args)
+    except Exception as exc:  # compared by type and message
+        return "raised", type(exc), str(exc)
+    return "ok", tuple(
+        struct.pack("<d", x) if isinstance(x, float) else x for x in result.as_dict().values()
+    )
+
+
+@st.composite
+def _quad_cases(draw):
+    """(source, alpha, a, t): composites of smooth leaves and of leaves that
+    raise or blow up somewhere near [a, t], one of them on both sides of a
+    window, so that both nodes of a pair can raise."""
+    a = draw(st.sampled_from([0.0, 1.0, -2.0]))
+    span = draw(st.sampled_from([1e-3, 0.1, 1.0, 4.0]) | st.floats(1e-3, 10.0))
+    alpha = draw(st.sampled_from([0.1, 0.25, 0.5, 0.9, 1.0]) | st.floats(0.05, 1.0))
+    c = st.floats(-0.5, 1.5).map(lambda k: repr(a + k * span))
+    leaves = st.one_of(
+        st.sampled_from(["t", "2.5", "t^2", "sin(t)", "cos(t)", "exp(t)", f"(t-({a!r}))^0.4"]),
+        c.map(lambda c: f"ln(t-({c}))"),
+        st.tuples(c, c).map("ln((t-({0[0]}))*(({0[1]})-t))".format),
+        c.map(lambda c: f"1/(t-({c}))"),
+        c.map(lambda c: f"sqrt(t-({c}))"),
+        st.just("exp(exp(t))"),
+    )
+    body = st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map("({0[0]}){0[1]}({0[2]})".format),
+            st.tuples(st.sampled_from(["sin", "exp", "sqrt"]), inner).map("{0[0]}({0[1]})".format),
+        ),
+        max_leaves=3,
+    )
+    return draw(body), alpha, a, a + span
+
+
+@settings(max_examples=150)
+@given(_quad_cases())
+def test_panel_matches_the_closure_form_bit_for_bit(case):
+    source, alpha, a, t = case
+    f = F(source)
+    operators = (integral, integral_of_deriv, deriv_of_integral)
+    outcomes = [_outcome(op, f, alpha, a, t) for op in operators]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quad, "_substituted", _reference_substituted)
+        mp.setattr(quad, "_gk15", _reference_probe_panel)
+        assert [_outcome(op, f, alpha, a, t) for op in operators] == outcomes

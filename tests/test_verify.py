@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+import conformable.expr as expr
 import conformable.verify as verify
 from conformable import TerminalMode
 from conformable.verify import (
@@ -117,6 +118,25 @@ def test_checklist_ids_and_order():
 
 def test_report_determinism(default_report):
     assert run_all().to_json() == default_report.to_json()
+
+
+def test_a_run_compiles_each_combined_rule_body_once(monkeypatch):
+    # After one run the parse memo holds every registry body with its code,
+    # so a second run compiles only what it builds: the six binary rules'
+    # combined bodies, shared by all terminals and both modes, on each of
+    # the two paths (building them per check call compiled 54).
+    run_all()
+    lowered = Counter()
+    lower = expr._lower
+
+    def counting(body, pair):
+        lowered[(body, pair)] += 1
+        return lower(body, pair)
+
+    monkeypatch.setattr(expr, "_lower", counting)
+    run_all()
+    assert sum(lowered.values()) == 12
+    assert set(lowered.values()) == {1}
 
 
 def test_report_json_schema(report):
