@@ -17,9 +17,10 @@ parenthesised group is a level) is rejected with `ParseError`.
 
 Evaluation lowers each body, once per path, to a straight-line Python
 function: the float path gives f(t), the pair path (f(t), f'(t)) in forward
-mode.  The function is compiled on the first evaluation of its path and
-kept on the body's root node, so every spec built on that AST reuses it,
-and an equal AST built apart compiles its own.
+mode.  Each operation is declared once, in `_RULES`, and both paths are
+read off it.  The function is compiled on the first evaluation of its path
+and kept on the body's root node, so every spec built on that AST reuses
+it, and an equal AST built apart compiles its own.
 """
 
 from __future__ import annotations
@@ -409,44 +410,32 @@ def power_pair(b: float, db: float, e: float, de: float) -> tuple[float, float]:
 
 
 # Statement templates per operation ("u-" is negation, which no function
-# name can clash with), for the float path and for the (value, derivative)
-# pair path.  {r} and {rd} name the node's value and derivative, {a}/{ad}
-# and {b}/{bd} those of its operands.  The operations and their order are
-# those of `_pow_float`, `power_pair` and forward-mode arithmetic on pairs.
-_FLOAT_RULES: dict[str, tuple[str, ...]] = {
-    "+": ("{r} = {a} + {b}",),
-    "-": ("{r} = {a} - {b}",),
-    "*": ("{r} = {a} * {b}",),
-    "/": ("if {b} == 0.0: _division_by_zero(t)", "{r} = {a} / {b}"),
-    "^": ("{r} = _pow_float({a}, {b})",),
-    "u-": ("{r} = -{a}",),
-    "sin": ("{r} = _sin({a})",),
-    "cos": ("{r} = _cos({a})",),
-    "exp": ("{r} = _exp({a})",),
-    "ln": ("if {a} <= 0.0: _ln_domain({a})", "{r} = _log({a})"),
-    "abs": ("{r} = _abs({a})",),
-    "sqrt": ("if {a} < 0.0: _sqrt_domain({a})", "{r} = _sqrt({a})"),
-}
-_PAIR_RULES: dict[str, tuple[str, ...]] = {
-    "+": ("{r} = {a} + {b}", "{rd} = {ad} + {bd}"),
-    "-": ("{r} = {a} - {b}", "{rd} = {ad} - {bd}"),
-    "*": ("{r} = {a} * {b}", "{rd} = {ad} * {b} + {a} * {bd}"),
+# name can clash with), each stated once, in the order of the (value,
+# derivative) pair path.  A statement tagged "d " runs only on the pair path
+# (derivatives and the kink guards), one tagged "f " only on the float path.
+# {r} and {rd} name the node's value and derivative, {a}/{ad} and {b}/{bd}
+# those of its operands.  The operations and their order are those of
+# `_pow_float`, `power_pair` and forward-mode arithmetic on pairs.
+_RULES: dict[str, tuple[str, ...]] = {
+    "+": ("{r} = {a} + {b}", "d {rd} = {ad} + {bd}"),
+    "-": ("{r} = {a} - {b}", "d {rd} = {ad} - {bd}"),
+    "*": ("{r} = {a} * {b}", "d {rd} = {ad} * {b} + {a} * {bd}"),
     "/": ("if {b} == 0.0: _division_by_zero(t)", "{r} = {a} / {b}",
-          "{rd} = ({ad} - {r} * {bd}) / {b}"),
-    "^": ("{r}, {rd} = _pow_pair({a}, {ad}, {b}, {bd})",),
-    "u-": ("{r} = -{a}", "{rd} = -{ad}"),
-    "sin": ("{r} = _sin({a})", "{rd} = _cos({a}) * {ad}"),
-    "cos": ("{r} = _cos({a})", "{rd} = -_sin({a}) * {ad}"),
-    "exp": ("{r} = _exp({a})", "{rd} = {r} * {ad}"),
-    "ln": ("if {a} <= 0.0: _ln_domain({a})", "{r} = _log({a})", "{rd} = {ad} / {a}"),
-    "abs": ("if {a} == 0.0: _abs_kink()", "{r} = _abs({a})",
-            "{rd} = (1.0 if {a} > 0.0 else -1.0) * {ad}"),
-    "sqrt": ("if {a} < 0.0: _sqrt_domain({a})", "if {a} == 0.0: _sqrt_kink()",
-             "{r} = _sqrt({a})", "{rd} = {ad} / (2.0 * {r})"),
+          "d {rd} = ({ad} - {r} * {bd}) / {b}"),
+    "^": ("f {r} = _pow_float({a}, {b})", "d {r}, {rd} = _pow_pair({a}, {ad}, {b}, {bd})"),
+    "u-": ("{r} = -{a}", "d {rd} = -{ad}"),
+    "sin": ("{r} = _sin({a})", "d {rd} = _cos({a}) * {ad}"),
+    "cos": ("{r} = _cos({a})", "d {rd} = -_sin({a}) * {ad}"),
+    "exp": ("{r} = _exp({a})", "d {rd} = {r} * {ad}"),
+    "ln": ("if {a} <= 0.0: _ln_domain({a})", "{r} = _log({a})", "d {rd} = {ad} / {a}"),
+    "abs": ("d if {a} == 0.0: _abs_kink()", "{r} = _abs({a})",
+            "d {rd} = (1.0 if {a} > 0.0 else -1.0) * {ad}"),
+    "sqrt": ("if {a} < 0.0: _sqrt_domain({a})", "d if {a} == 0.0: _sqrt_kink()",
+             "{r} = _sqrt({a})", "d {rd} = {ad} / (2.0 * {r})"),
 }
 # The builtin function names, each declared once by its rules, and what an
 # unknown identifier is told was expected in its place.
-FUNCTIONS = frozenset(name for name in _FLOAT_RULES if name.isidentifier())
+FUNCTIONS = frozenset(name for name in _RULES if name.isidentifier())
 _NAMES_EXPECTED = frozenset({"'t'", "'pow'"} | FUNCTIONS)
 
 # The one globals dict of all generated functions.
@@ -486,7 +475,7 @@ def _lower(body: Expr, pair: bool) -> str:
     Walks the tree iteratively in post-order, left operand first.  Equal
     subtrees get one SSA name, as they compute equal values.
     """
-    rules = _PAIR_RULES if pair else _FLOAT_RULES
+    skip, own = ("f ", "d ") if pair else ("d ", "f ")
     lines = ["def _f(t):"]
     numbered: dict[tuple, str] = {}
     done: list[str] = []  # the operand of each finished node: literal, t or v<n>
@@ -520,9 +509,10 @@ def _lower(body: Expr, pair: bool) -> str:
             a, b = operands if len(operands) == 2 else (operands[0], "")
             fields = dict(r=name, rd=_deriv_of(name), a=a, ad=_deriv_of(a),
                           b=b, bd=_deriv_of(b))
-            if op not in rules:
+            if op not in _RULES:
                 raise UnknownIdentifierError(op, 0, _NAMES_EXPECTED)
-            lines += ["    " + line.format(**fields) for line in rules[op]]
+            lines += ["    " + line.removeprefix(own).format(**fields)
+                      for line in _RULES[op] if not line.startswith(skip)]
         done.append(name)
     (root,) = done
     lines.append(f"    return {root}, {_deriv_of(root)}" if pair else f"    return {root}")

@@ -15,6 +15,7 @@ from conformable import (
     evaluate,
     evaluate_body,
     evaluate_dual,
+    integral,
     order_convert,
     right_limit,
 )
@@ -645,6 +646,58 @@ def test_terminal_smooth_functions_vanish_below_order_one():
                 assert r.exists and abs(r.value) <= 1e-6, (source, a, alpha)
             r1 = deriv_at_terminal(f, 1.0, a, ORIGINAL)
             assert r1.exists and r1.value == pytest.approx(fprime(a), abs=1e-6)
+
+
+def _row(id, exact, call, source, *args, wrong_today=False):
+    marks = pytest.mark.xfail(strict=True, raises=AssertionError) if wrong_today else ()
+    return pytest.param(call, source, args, exact, id=id, marks=marks)
+
+
+# Public calls with their exact results: a value, None for does-not-exist,
+# or DomainError where f is undefined near the point and the call must refuse.
+# The strict xfails are the open wrong answers; a change that mends one makes
+# it pass, and it must then lose its mark.
+@pytest.mark.parametrize("call,source,args,exact", [
+    _row("ln_pole_original", None, deriv_at_terminal, "ln(t-1)", 0.5, 1.0, ORIGINAL),
+    _row("flat_exp_original", 0.0, deriv_at_terminal, "exp(-1/(t-1))", 0.5, 1.0, ORIGINAL),
+    _row("h_ln_h_original", 0.0, deriv_at_terminal, "(t-1)*ln(t-1)", 0.5, 1.0, ORIGINAL,
+         wrong_today=True),
+    _row("h_pow_h_original", 0.0, deriv_at_terminal, "(t-1)^(t-1)", 0.5, 1.0, ORIGINAL,
+         wrong_today=True),
+    _row("h2_sin_inv_h_original", 0.0, deriv_at_terminal, "(t-1)^2*sin(1/(t-1))",
+         0.5, 1.0, ORIGINAL, wrong_today=True),
+    _row("sin_root_original", 0.0, deriv_at_terminal, "sin((t-1)^0.4)", 0.3, 1.0, ORIGINAL,
+         wrong_today=True),
+    _row("abs_kink_original", 0.0, deriv_at_terminal, "abs(t-1)", 0.5, 1.0, ORIGINAL,
+         wrong_today=True),
+    _row("smooth_plus_root_original", 0.5, deriv_at_terminal, "t*sin(t)+exp(t)+(t+2)^0.5",
+         0.5, -2.0, ORIGINAL, wrong_today=True),
+    _row("exp_cos_root_corrected", 0.0, deriv_at_terminal,
+         "exp(cos(((t-1)^0.5/0.5+ln(1+(t-1)))*exp(t)))", 0.8, 1.0, CORRECTED,
+         wrong_today=True),
+    _row("negative_inside_probe_original", DomainError, deriv_at_terminal,
+         "(t^2*(t-0.005))^1.5", 0.5, 0.0, ORIGINAL, wrong_today=True),
+    _row("negative_inside_probe_corrected", DomainError, deriv_at_terminal,
+         "(t^2*(t-0.005))^1.5", 0.5, 0.0, CORRECTED, wrong_today=True),
+    # The integral of (s-1)^(0.1-1) (s-1)^0.4 over [1, t] is 2 (t-1)^0.5.
+    _row("integral_root_near_terminal", 2.0 * math.sqrt(1.001 - 1.0), integral,
+         "(t-1)^0.4", 0.1, 1.0, 1.001, wrong_today=True),
+    _row("limit_left_of_base_zero", 0.0, deriv_limit, "(t-1)^1.5", 1.0, 0.0, 1.0,
+         wrong_today=True),
+])
+def test_public_calls_give_the_exact_result(call, source, args, exact):
+    # Right means: existence matches and |value - exact| <= err_estimate.
+    try:
+        r = call(F(source), *args)
+    except DomainError as exc:
+        assert exact is DomainError, exc
+        return
+    assert exact is not DomainError, r
+    if exact is None:
+        assert not r.exists, r
+    else:
+        assert r.exists, r.reason
+        assert abs(r.value - exact) <= r.err_estimate, r
 
 
 def _smooth_trees(kinks: bool = True):

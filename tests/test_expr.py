@@ -583,6 +583,70 @@ def test_generated_source_holds_only_fixed_names_and_floats():
                 assert repr(float(tok.string)) == tok.string
 
 
+_ALL_OPERATIONS = "-sin(t)*cos(t) + exp(t)/ln(t) - sqrt(abs(t))^2.5"
+
+_ALL_OPERATIONS_FLOAT = """\
+def _f(t):
+    v1 = _sin(t)
+    v2 = -v1
+    v3 = _cos(t)
+    v4 = v2 * v3
+    v5 = _exp(t)
+    if t <= 0.0: _ln_domain(t)
+    v6 = _log(t)
+    if v6 == 0.0: _division_by_zero(t)
+    v7 = v5 / v6
+    v8 = v4 + v7
+    v9 = _abs(t)
+    if v9 < 0.0: _sqrt_domain(v9)
+    v10 = _sqrt(v9)
+    v11 = _pow_float(v10, 2.5)
+    v12 = v8 - v11
+    return v12
+"""
+
+_ALL_OPERATIONS_PAIR = """\
+def _f(t):
+    v1 = _sin(t)
+    d1 = _cos(t) * 1.0
+    v2 = -v1
+    d2 = -d1
+    v3 = _cos(t)
+    d3 = -_sin(t) * 1.0
+    v4 = v2 * v3
+    d4 = d2 * v3 + v2 * d3
+    v5 = _exp(t)
+    d5 = v5 * 1.0
+    if t <= 0.0: _ln_domain(t)
+    v6 = _log(t)
+    d6 = 1.0 / t
+    if v6 == 0.0: _division_by_zero(t)
+    v7 = v5 / v6
+    d7 = (d5 - v7 * d6) / v6
+    v8 = v4 + v7
+    d8 = d4 + d7
+    if t == 0.0: _abs_kink()
+    v9 = _abs(t)
+    d9 = (1.0 if t > 0.0 else -1.0) * 1.0
+    if v9 < 0.0: _sqrt_domain(v9)
+    if v9 == 0.0: _sqrt_kink()
+    v10 = _sqrt(v9)
+    d10 = d9 / (2.0 * v10)
+    v11, d11 = _pow_pair(v10, d10, 2.5, 0.0)
+    v12 = v8 - v11
+    d12 = d8 - d11
+    return v12, d12
+"""
+
+
+def test_generated_source_of_every_operation_is_pinned():
+    """Both paths of a body that uses all twelve operations, statement by statement."""
+    body = parse(_ALL_OPERATIONS)
+    assert {"+", "-", "*", "/", "^", "u-"} | expr.FUNCTIONS == expr._RULES.keys()
+    assert expr._lower(body, False) == _ALL_OPERATIONS_FLOAT
+    assert expr._lower(body, True) == _ALL_OPERATIONS_PAIR
+
+
 # --------------------------------------------------------------------------
 # the parse memo, code on the AST and the closed set of functions
 # --------------------------------------------------------------------------
@@ -610,7 +674,6 @@ def test_compiling_leaves_the_globals_unchanged():
         evaluate_body(f, 2.0)
         evaluate_dual(f, 2.0)
     assert expr._GLOBALS == before
-    assert expr._PAIR_RULES.keys() == expr._FLOAT_RULES.keys()
     assert expr.FUNCTIONS == {"sin", "cos", "exp", "ln", "abs", "sqrt"}
 
 
