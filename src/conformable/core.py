@@ -288,7 +288,7 @@ def _closed_value(f: FuncSpec, al: float, av: float, t: float) -> float:
     try:
         return weight * evaluate_dual(f, t)[1]
     except NonDifferentiableError as exc:
-        raise NonDifferentiableError(f"no first derivative at t={t!r}: {exc}") from exc
+        raise NonDifferentiableError(f"no first derivative at t={t!r}: {exc}", t) from exc
 
 
 def deriv_limit(f: Func, alpha: float, a: float, t: float) -> EvalResult:

@@ -31,15 +31,31 @@ class UnknownIdentifierError(ParseError):
         self.name = name
 
 
-class DomainError(ValueError):
+class _AtPoint(Exception):
+    """An evaluation error, with the point ``t`` that its message names, or None.
+
+    Code that evaluates a body shifted to an offset (`expr.shifted`) names
+    the absolute point again through `moved`.
+    """
+
+    def __init__(self, message: str, t: float | None = None):
+        super().__init__(message)
+        self.t = t
+
+    def moved(self, t: float) -> "_AtPoint":
+        """The same error, naming t in place of this error's point."""
+        return type(self)(str(self).replace(f"t={self.t!r}", f"t={t!r}", 1), t)
+
+
+class DomainError(_AtPoint, ValueError):
     """Evaluation at a point where the expression is undefined."""
 
 
-class NonFiniteError(ArithmeticError):
+class NonFiniteError(_AtPoint, ArithmeticError):
     """Evaluation overflowed to +/-inf or produced NaN."""
 
 
-class NonDifferentiableError(ArithmeticError):
+class NonDifferentiableError(_AtPoint, ArithmeticError):
     """No finite first derivative at the evaluation point."""
 
 

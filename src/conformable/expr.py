@@ -20,7 +20,9 @@ function: the float path gives f(t), the pair path (f(t), f'(t)) in forward
 mode.  Each operation is declared once, in `_RULES`, and both paths are
 read off it.  The function is compiled on the first evaluation of its path
 and kept on the body's root node, so every spec built on that AST reuses
-it, and an equal AST built apart compiles its own.
+it, and an equal AST built apart compiles its own.  `shifted` rewrites a
+body as a function of the offset from a lower terminal, and the root keeps
+those shifted bodies too.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ __all__ = [
     "evaluate_dual",
     "parse",
     "power_pair",
+    "shifted",
     "unparse",
 ]
 
@@ -61,43 +64,47 @@ __all__ = [
 # recursion limit.
 MAX_DEPTH = 100
 
-# Entries of the memo of `parse`, the one memo of this module, keyed by source text.
+# Entries of the memo of `parse`, keyed by source text.
 PARSE_MEMO_SIZE = 1024
+
+# Terminals per body whose shifted body (`shifted`) is kept on its root.
+SHIFT_MEMO_SIZE = 16
 
 
 # --------------------------------------------------------------------------
 # AST
 # --------------------------------------------------------------------------
 
-# Non-field slots of every node: its code per path as the root of a body.
-_CODE_SLOTS = ("_float_code", "_pair_code")
+# Non-field slots of every node, as the root of a body: its code per path
+# and its shifted bodies by terminal.
+_ROOT_SLOTS = ("_float_code", "_pair_code", "_shifts")
 
 
 class Const(Record):
-    __slots__ = _CODE_SLOTS
+    __slots__ = _ROOT_SLOTS
     value: float
 
 
 class Var(Record):
     """The free variable t."""
 
-    __slots__ = _CODE_SLOTS
+    __slots__ = _ROOT_SLOTS
 
 
 class Neg(Record):
-    __slots__ = _CODE_SLOTS
+    __slots__ = _ROOT_SLOTS
     operand: Expr
 
 
 class BinOp(Record):
-    __slots__ = _CODE_SLOTS
+    __slots__ = _ROOT_SLOTS
     op: str  # one of + - * / ^
     left: Expr
     right: Expr
 
 
 class Call(Record):
-    __slots__ = _CODE_SLOTS
+    __slots__ = _ROOT_SLOTS
     func: str
     arg: Expr
 
@@ -362,7 +369,7 @@ def _pow_float(base: float, expo: float) -> float:
 
 
 def _division_by_zero(t: float):
-    raise DomainError(f"division by zero at t={t!r}")
+    raise DomainError(f"division by zero at t={t!r}", t)
 
 
 def _abs_kink():
@@ -534,9 +541,9 @@ def evaluate_body(f: FuncSpec, t: float) -> float:
     try:
         v = fn(float(t))
     except OverflowError as exc:
-        raise NonFiniteError(f"overflow evaluating at t={t!r}") from exc
+        raise NonFiniteError(f"overflow evaluating at t={t!r}", t) from exc
     if not math.isfinite(v):
-        raise NonFiniteError(f"non-finite result {v!r} at t={t!r}")
+        raise NonFiniteError(f"non-finite result {v!r} at t={t!r}", t)
     return v
 
 
@@ -546,7 +553,7 @@ def evaluate(f: FuncSpec, t: float, a: float) -> float:
     if f.jump_at_terminal is not None and t == a:
         v = v + f.jump_at_terminal
         if not math.isfinite(v):
-            raise NonFiniteError(f"non-finite result {v!r} at t={t!r}")
+            raise NonFiniteError(f"non-finite result {v!r} at t={t!r}", t)
     return v
 
 
@@ -556,7 +563,59 @@ def evaluate_dual(f: FuncSpec, t: float) -> tuple[float, float]:
     try:
         value, deriv = fn(float(t))
     except OverflowError as exc:
-        raise NonFiniteError(f"overflow evaluating at t={t!r}") from exc
+        raise NonFiniteError(f"overflow evaluating at t={t!r}", t) from exc
     if not (math.isfinite(value) and math.isfinite(deriv)):
-        raise NonFiniteError(f"non-finite dual result {(value, deriv)!r} at t={t!r}")
+        raise NonFiniteError(f"non-finite dual result {(value, deriv)!r} at t={t!r}", t)
     return value, deriv
+
+
+# --------------------------------------------------------------------------
+# Terminal-relative bodies
+# --------------------------------------------------------------------------
+
+def _constant(node: Expr) -> float | None:
+    """The value of a constant or a negated constant, else None."""
+    if isinstance(node, Neg):
+        value = _constant(node.operand)
+        return None if value is None else -value
+    return node.value if isinstance(node, Const) else None
+
+
+def _shift(node: Expr, a: float) -> Expr:
+    """`node` as a function of the offset d = t - a."""
+    if isinstance(node, Var):
+        return BinOp("+", Const(a), Var())
+    if isinstance(node, BinOp):
+        if node.op == "-" and isinstance(node.left, Var):
+            c = _constant(node.right)
+            if c is not None:
+                return Var() if c == a else BinOp("+", Const(a - c), Var())
+        return BinOp(node.op, _shift(node.left, a), _shift(node.right, a))
+    if isinstance(node, Neg):
+        return Neg(_shift(node.operand, a))
+    if isinstance(node, Call):
+        return Call(node.func, _shift(node.arg, a))
+    return node
+
+
+def shifted(f: FuncSpec, a: float) -> FuncSpec:
+    """f_a(d) = f(a + d), the body of f as a function of the offset from a.
+
+    A ``t - a`` subtree becomes exactly d, a ``t - c`` subtree (a - c) + d
+    and any other ``t`` a + d, so near a no point rebuilds t - a from a
+    rounded t.  A body with no ``t - c`` subtree gives the bits of f at
+    a + d.  The jump decoration is dropped, and a = -0.0 is taken as 0.0.
+    Built once per (body, a) and kept on the body's root, for up to
+    `SHIFT_MEMO_SIZE` terminals.
+    """
+    a += 0.0  # one body for both zeros, which the memo cannot tell apart
+    memo = f.body._shifts
+    if memo is None:
+        memo = {}
+        object.__setattr__(f.body, "_shifts", memo)
+    fa = memo.get(a)
+    if fa is None:
+        fa = FuncSpec(_shift(f.body, a))
+        if len(memo) < SHIFT_MEMO_SIZE:
+            memo[a] = fa
+    return fa

@@ -1,12 +1,16 @@
 """Weighted integral of order alpha and the operator compositions.
 
 The integral ∫_a^t (s-a)^(alpha-1) f(s) ds is improper at s = a.  The
-substitution u = (s-a)^alpha removes the singularity exactly: the
-integrand becomes (1/alpha) * f(a + u^(1/alpha)) on [0, (t-a)^alpha],
-which is bounded whenever f is bounded near a.  Adaptive Gauss-Kronrod
-(7, 15) quadrature over u, splitting the worst panel in half or, at u = 0,
-at a quarter, then supplies a trustworthy error bound; each panel maps its
-own nodes back to s.
+substitution v = (s-a)^(alpha/2) removes the singularity exactly: the
+integrand becomes (2/alpha) * v * f(a + v^(2/alpha)) on [0, (t-a)^(alpha/2)],
+and the Jacobian's factor v also turns an endpoint term (s-a)^gamma of f
+into v^(1 + 2*gamma/alpha), smoother than the u^(gamma/alpha) that
+u = (s-a)^alpha leaves (Davis & Rabinowitz, Methods of Numerical
+Integration, 1984).  f is evaluated in terminal-relative form, through
+f_a(d) = f(a + d) (`expr.shifted`), so no node rebuilds s - a from a rounded
+s.  Adaptive Gauss-Kronrod (7, 15) quadrature over v, splitting the worst
+panel in half or, at v = 0, at a quarter, then supplies a trustworthy error
+bound; each panel maps its own nodes back to the offset d = v^(2/alpha).
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import sys
 from typing import Callable
 
 from .core import (
@@ -24,8 +29,8 @@ from .core import (
     positive_power,
     right_limit,
 )
-from .errors import ConvergenceError, NonDifferentiableError, NonFiniteError
-from .expr import FuncSpec, evaluate_body
+from .errors import ConvergenceError, DomainError, NonDifferentiableError, NonFiniteError
+from .expr import FuncSpec, evaluate_body, shifted
 
 __all__ = [
     "ABS_TOL",
@@ -86,20 +91,25 @@ def _gk15(
     hi: float,
 ) -> tuple[float, float]:
     """15-point Kronrod estimate and |K15 - G7| error bound on the panel
-    [lo, hi] in u, of u -> inv * point(f, av + u^inv)."""
+    [lo, hi] in v, of v -> inv * v * point(f, av + v^inv)."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    fc = inv * point(f, av + math.pow(center, inv))
+    fc = inv * center * point(f, av + math.pow(center, inv))
     resk = _WGK[7] * fc
     resg = _WG[3] * fc
     for xgk, wgk, wg in _NODES:
         x = half * xgk
-        pair = inv * point(f, av + math.pow(center - x, inv))
-        pair += inv * point(f, av + math.pow(center + x, inv))
+        v = center - x
+        pair = inv * v * point(f, av + math.pow(v, inv))
+        v = center + x
+        pair += inv * v * point(f, av + math.pow(v, inv))
         resk += wgk * pair
         if wg is not None:
             resg += wg * pair
     return resk * half, abs((resk - resg) * half)
+
+
+_DIVERGED = "quadrature diverged: value or error bound is not finite"
 
 
 def _adaptive_quad(
@@ -148,7 +158,7 @@ def _adaptive_quad(
         heapq.heappush(panels, (-e2, mid, p_hi, v2, e2))
         splits += 1
     if not (math.isfinite(total_val) and math.isfinite(total_err)):
-        raise ConvergenceError("quadrature diverged: value or error bound is not finite")
+        raise ConvergenceError(_DIVERGED)
     return total_val, total_err
 
 
@@ -160,16 +170,30 @@ def _substituted(
     t: float,
 ) -> tuple[float, float]:
     """`_adaptive_quad`'s (value, bound) for ∫_a^t (s-a)^(al-1) point(f, s) ds,
-    taken as (1/al) ∫_0^((t-a)^al) point(f, a + u^(1/al)) du."""
-    panel = functools.partial(_gk15, point, f, av, 1.0 / al)
-    return _adaptive_quad(panel, 0.0, positive_power(t - av, al), ABS_TOL, REL_TOL)
+    taken as (2/al) ∫_0^((t-a)^(al/2)) v point(f_a, v^(2/al)) dv over the
+    shifted body f_a(d) = f(a + d).
+
+    An error that names a point names a + d.  A non-finite integrand at an
+    offset d below the smallest normal float means that the quadrature has
+    reached the terminal: the integral diverges there.
+    """
+    panel = functools.partial(_gk15, point, shifted(f, av), 0.0, 2.0 / al)
+    try:
+        return _adaptive_quad(panel, 0.0, positive_power(t - av, 0.5 * al), ABS_TOL, REL_TOL)
+    except (DomainError, NonDifferentiableError, NonFiniteError) as exc:
+        if exc.t is None:
+            raise
+        if isinstance(exc, NonFiniteError) and exc.t < sys.float_info.min:
+            raise ConvergenceError(_DIVERGED) from exc
+        raise exc.moved(av + exc.t) from exc.__cause__
 
 
 def integral(f: FuncSpec, alpha: float, a: float, t: float) -> EvalResult:
     """∫_a^t (s-a)^(alpha-1) f(s) ds via the singularity-removing substitution.
 
     The integrand uses the body of f everywhere; a jump decoration affects a
-    single point of measure zero and never the integral.
+    single point of measure zero and never the integral.  An integral that
+    diverges at the terminal raises ConvergenceError.
     """
     al, av, t = checked_interior(alpha, a, t)
     value, bound = _substituted(evaluate_body, f, al, av, t)
@@ -194,15 +218,12 @@ def deriv_of_integral(f: FuncSpec, alpha: float, a: float, t: float) -> EvalResu
     def weighted(f: FuncSpec, s: float) -> float:
         return positive_power(s - av, al - 1.0) * evaluate_body(f, s)
 
-    # The identity substitution (a = 0, 1/alpha = 1) leaves every node's bits.
-    panel = functools.partial(_gk15, weighted, f, 0.0, 1.0)
+    def probe(lo: float, hi: float) -> float:
+        # The node rule at order 1, from the probe's own left end: s = lo + v^2.
+        panel = functools.partial(_gk15, weighted, f, lo, 2.0)
+        return _adaptive_quad(panel, 0.0, math.sqrt(hi - lo), _PROBE_TOL, _PROBE_TOL)[0]
 
-    def g(x: float) -> float:
-        if x < t:
-            return -_adaptive_quad(panel, x, t, _PROBE_TOL, _PROBE_TOL)[0]
-        return _adaptive_quad(panel, t, x, _PROBE_TOL, _PROBE_TOL)[0]
-
-    return deriv_limit(g, al, av, t)
+    return deriv_limit(lambda x: -probe(x, t) if x < t else probe(t, x), al, av, t)
 
 
 def integral_of_deriv(f: FuncSpec, alpha: float, a: float, t: float) -> EvalResult:
@@ -220,12 +241,14 @@ def integral_of_deriv(f: FuncSpec, alpha: float, a: float, t: float) -> EvalResu
             f"right limit of f at the lower terminal does not exist or is not finite: {why}"
         )
 
-    def point(f: FuncSpec, s: float) -> float:
-        if not s > av:
+    def point(fa: FuncSpec, d: float) -> float:
+        # deriv_closed_form of f_a at d from 0 is that of f at a + d from a.
+        # d underflows to 0 only beside the terminal, where v makes the node 0.
+        if not d > 0.0:
             return 0.0
-        r = deriv_closed_form(f, al, av, s)
+        r = deriv_closed_form(fa, al, 0.0, d)
         if not r.exists:
-            raise NonDifferentiableError(r.reason)
+            raise NonDifferentiableError(r.reason, d)
         return r.value
 
     try:

@@ -415,10 +415,18 @@ def test_integ_convergence_exit(capsys):
     assert err == "error: quadrature tolerances not met within 2000 subdivisions\n"
 
 
-@pytest.mark.parametrize("expr", ["t^-1", "1/t"])
-def test_integ_divergent_exits_three(capsys, expr):
-    # ∫_0^1 s^-0.5 * s^-1 ds diverges: the running sum overflows to inf
-    code, out, err = run(capsys, "integ", "--expr", expr, "--alpha", "0.5", "--a", "0", "--t", "1")
+@pytest.mark.parametrize(
+    "expr, alpha",
+    [
+        pytest.param(expr, alpha, id=expr if alpha == "0.5" else f"{expr}-{alpha}")
+        for alpha in ("0.5", "0.05", "0.2", "1")
+        for expr in ("t^-1", "1/t")
+    ],
+)
+def test_integ_divergent_exits_three(capsys, expr, alpha):
+    # ∫_0^1 s^(alpha-1) * s^-1 ds diverges at every order: the integrand
+    # overflows at the terminal, or the running sum does
+    code, out, err = run(capsys, "integ", "--expr", expr, "--alpha", alpha, "--a", "0", "--t", "1")
     assert code == 3
     assert out == ""
     assert err == "error: quadrature diverged: value or error bound is not finite\n"
@@ -432,7 +440,26 @@ def test_integ_non_integrable_pole_fails(capsys):
     )
     assert code == 1
     assert out == ""
-    assert err.startswith("error: overflow evaluating at t=0.500")
+    assert err.startswith("error: overflow evaluating at t=0.5012")
+
+
+def test_integ_names_the_point_of_a_pole_right_of_a_non_zero_terminal(capsys):
+    # the quadrature evaluates the offset d = t - 1; the message names t
+    code, out, err = run(
+        capsys, "integ", "--expr", "exp(1/(t-1.5))", "--alpha", "0.5", "--a", "1", "--t", "2"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: overflow evaluating at t=1.5012")
+
+
+def test_integ_near_a_non_zero_terminal_is_exact(capsys):
+    # d^0.5 / 0.5 = 0.06324555...; rebuilding t - 1 from a rounded t printed 0.0632455
+    code, out, _ = run(
+        capsys, "integ", "--expr", "(t-1)^0.4", "--alpha", "0.1", "--a", "1", "--t", "1.001"
+    )
+    assert code == 0
+    assert out.startswith("value=0.0632456 ")
 
 
 # --------------------------------------------------------------------------

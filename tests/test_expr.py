@@ -7,7 +7,7 @@ import struct
 import tokenize
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conformable import expr
 from conformable.errors import (
@@ -755,3 +755,72 @@ def test_code_slots_stay_out_of_the_value_of_an_ast():
     assert list(compiled.as_dict()) == ["op", "left", "right"]
     copy = pickle.loads(pickle.dumps(compiled))
     assert copy == compiled and copy._float_code is None and copy._pair_code is None
+
+
+# --------------------------------------------------------------------------
+# terminal-relative bodies
+# --------------------------------------------------------------------------
+
+def test_shifted_rewrites_each_t_relative_to_the_terminal():
+    f = FuncSpec.from_source("(t-1)^0.4 + (t-(-2.0))*t + ln(t-1.5)", jump_at_terminal=2.0)
+    # t - a is d itself, t - c is (a - c) + d and any other t is a + d
+    assert unparse(expr.shifted(f, 1.0).body) == "t^0.4+(3.0+t)*(1.0+t)+ln(-0.5+t)"
+    assert unparse(expr.shifted(f, -2.0).body) == "(-3.0+t)^0.4+t*(-2.0+t)+ln(-3.5+t)"
+    assert expr.shifted(f, 1.0).jump_at_terminal is None
+
+
+def test_a_shifted_body_is_built_and_compiled_once_per_terminal(monkeypatch):
+    lowered = _lowerings(monkeypatch)
+    body = expr._Parser("exp(t)*(t-1)").parse()  # an AST that never ran
+    fa = expr.shifted(FuncSpec(body), 1.0)
+    assert expr.shifted(FuncSpec(body, jump_at_terminal=3.0), 1.0) is fa
+    assert evaluate_body(fa, 0.5) == evaluate_body(expr.shifted(FuncSpec(body), 1.0), 0.5)
+    assert _lowered_paths(lowered, fa.body) == [False]
+    # the memo on the body's root keeps a bounded number of terminals
+    for k in range(2 * expr.SHIFT_MEMO_SIZE):
+        expr.shifted(FuncSpec(body), 10.0 + k)
+    assert len(body._shifts) == expr.SHIFT_MEMO_SIZE
+    assert expr.shifted(FuncSpec(body), 1.0) is fa
+    assert expr.shifted(FuncSpec(body), 1e3) is not expr.shifted(FuncSpec(body), 1e3)
+
+
+def _has_t_minus_c(node) -> bool:
+    """Whether node has a `t - c` subtree, c a constant under any negations."""
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, BinOp):
+            if node.op == "-" and isinstance(node.left, Var):
+                c = node.right
+                while isinstance(c, Neg):
+                    c = c.operand
+                if isinstance(c, Const):
+                    return True
+            todo += [node.left, node.right]
+        elif isinstance(node, Neg):
+            todo.append(node.operand)
+        elif isinstance(node, Call):
+            todo.append(node.arg)
+    return False
+
+
+def _named_at(fn, a):
+    """`fn` of a shifted body, its errors naming the point a + d."""
+    def at(f, d):
+        try:
+            return fn(f, d)
+        except (DomainError, NonFiniteError) as exc:
+            if exc.t is None:
+                raise
+            raise exc.moved(a + exc.t) from None
+    return at
+
+
+@settings(max_examples=400)
+@given(_random_trees(), st.sampled_from([0.0, 1.0, -2.0]), _POINTS)
+def test_shifted_body_without_t_minus_c_keeps_the_bits(node, a, d):
+    assume(not _has_t_minus_c(node))
+    f = FuncSpec(node)
+    fa = expr.shifted(f, a)
+    for fn in (evaluate_body, evaluate_dual):
+        assert _outcome(_named_at(fn, a), fa, d) == _outcome(fn, f, a + d)
