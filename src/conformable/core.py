@@ -297,7 +297,10 @@ def deriv_limit(f: Func, alpha: float, a: float, t: float) -> EvalResult:
     Probes theta of both signs at theta0 * 0.5^k, k < 12, extrapolates each
     side (and their central average), and reports DoesNotExist when the
     extrapolants fail the Cauchy test (1e-8 relative), the one-sided limits
-    disagree, or the raw quotients pass the divergence cap 1e12.
+    disagree, or the raw quotients pass the divergence cap 1e12.  When a
+    backward probe raises DomainError (f is undefined just left of t), the
+    forward quotients alone decide, under the same Cauchy test: extrapolated
+    in powers of theta or, failing that, of sqrt(theta).
 
     The first step is theta0 = min(1e-2 * max(1, t-a), 0.5 * (t-a)^alpha);
     the second bound keeps every probe point strictly inside (a, inf), where
@@ -334,6 +337,7 @@ _NOT_CAUCHY = "extrapolated difference quotients are not Cauchy"
 
 _ONE_SIDED = tuple((1.0 / _SHRINK) ** j for j in range(1, _LEVELS))
 _CENTRAL = tuple((1.0 / _SHRINK) ** (2 * j) for j in range(1, _LEVELS))
+_HALF_POWERS = tuple((1.0 / _SHRINK) ** (0.5 * j) for j in range(1, _LEVELS))
 
 
 def _limit_from_quotients(
@@ -341,18 +345,29 @@ def _limit_from_quotients(
 ) -> EvalResult:
     """`deriv_limit` from the quotients at theta0 * _SHRINK^k, k < _LEVELS."""
     forward: list[float] = []
-    backward: list[float] = []
+    backward: list[float] | None = []
     theta = theta0
     for _ in range(_LEVELS):
         step = theta * weight
-        fp = point(t + step)
-        fm = point(t - step)
-        forward.append((fp - f0) / theta)
-        backward.append((f0 - fm) / theta)
+        forward.append((point(t + step) - f0) / theta)
+        if backward is not None:
+            try:
+                backward.append((f0 - point(t - step)) / theta)
+            except DomainError:
+                backward = None
         theta *= _SHRINK
-    if any(abs(q) > _DIVERGENCE_CAP for q in forward + backward):
+    if any(abs(q) > _DIVERGENCE_CAP for q in forward + (backward or [])):
         return EvalResult.does_not_exist("difference quotients exceed the divergence cap")
     v_fwd, e_fwd = _neville_best(forward, _ONE_SIDED)
+    if backward is None:
+        # f is undefined somewhere left of t: the forward side alone decides,
+        # in powers of theta and, failing that, of sqrt(theta), as at an edge
+        # term (t - c)^(k + 1/2) of f's domain.
+        if e_fwd > _CAUCHY_TOL * max(1.0, abs(v_fwd)):
+            v_fwd, e_fwd = _neville_best(forward, _HALF_POWERS)
+        if e_fwd > _CAUCHY_TOL * max(1.0, abs(v_fwd)):
+            return EvalResult.does_not_exist(_NOT_CAUCHY)
+        return EvalResult.of(v_fwd, e_fwd)
     v_bwd, e_bwd = _neville_best(backward, _ONE_SIDED)
     central = [0.5 * (p + q) for p, q in zip(forward, backward)]
     v_ctr, e_ctr = _neville_best(central, _CENTRAL)

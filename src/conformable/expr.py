@@ -542,6 +542,11 @@ def evaluate_body(f: FuncSpec, t: float) -> float:
         v = fn(float(t))
     except OverflowError as exc:
         raise NonFiniteError(f"overflow evaluating at t={t!r}", t) from exc
+    except DomainError as exc:
+        # The message stays as the rule wrote it; the point is kept beside it.
+        if exc.t is None:
+            exc.t = t
+        raise
     if not math.isfinite(v):
         raise NonFiniteError(f"non-finite result {v!r} at t={t!r}", t)
     return v

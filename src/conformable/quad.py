@@ -173,9 +173,9 @@ def _substituted(
     taken as (2/al) ∫_0^((t-a)^(al/2)) v point(f_a, v^(2/al)) dv over the
     shifted body f_a(d) = f(a + d).
 
-    An error that names a point names a + d.  A non-finite integrand at an
-    offset d below the smallest normal float means that the quadrature has
-    reached the terminal: the integral diverges there.
+    An error that names a point names a + d.  A non-finite or undefined
+    integrand at an offset d below the smallest normal float means that the
+    quadrature has reached the terminal: the integral diverges there.
     """
     panel = functools.partial(_gk15, point, shifted(f, av), 0.0, 2.0 / al)
     try:
@@ -183,7 +183,7 @@ def _substituted(
     except (DomainError, NonDifferentiableError, NonFiniteError) as exc:
         if exc.t is None:
             raise
-        if isinstance(exc, NonFiniteError) and exc.t < sys.float_info.min:
+        if isinstance(exc, (DomainError, NonFiniteError)) and exc.t < sys.float_info.min:
             raise ConvergenceError(_DIVERGED) from exc
         raise exc.moved(av + exc.t) from exc.__cause__
 

@@ -15,7 +15,6 @@ checks of both modes judge the same values.  Closed forms are called directly.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 from .core import (
@@ -666,6 +665,10 @@ for _check in CHECKLIST_IDS[1:]:
 
 
 def _registry_hash() -> str:
+    # hashlib maps OpenSSL's libcrypto; only a process that builds a report
+    # pays for it.
+    import hashlib
+
     entries = []
     for e in REGISTRY:
         entry = e.as_dict()

@@ -31,6 +31,22 @@ def test_deriv_closed_form(capsys):
     assert out.startswith("value=2 err=")
 
 
+@pytest.mark.parametrize(
+    "expr, alpha, t",
+    [("(t-1)^1.5", "1", "1"), ("(t-1)^1.5", "1", "1.001"), ("sqrt(t-1)*(t-1)", "0.5", "1.001")],
+)
+def test_deriv_limit_where_f_is_undefined_left_of_t_agrees_with_closed(capsys, expr, alpha, t):
+    values = []
+    for method in ("limit", "closed"):
+        code, out, err = run(
+            capsys, "deriv", "--expr", expr, "--alpha", alpha, "--a", "0", "--t", t,
+            "--method", method,
+        )
+        assert (code, err) == (0, "")
+        values.append(float(out.split()[0].removeprefix("value=")))
+    assert abs(values[0] - values[1]) <= 1e-6  # verify's route_tol
+
+
 def test_deriv_limit_method(capsys):
     code, out, _ = run(
         capsys, "deriv", "--expr", "t^2", "--alpha", "1.0", "--a", "0",
@@ -427,6 +443,22 @@ def test_integ_divergent_exits_three(capsys, expr, alpha):
     # ∫_0^1 s^(alpha-1) * s^-1 ds diverges at every order: the integrand
     # overflows at the terminal, or the running sum does
     code, out, err = run(capsys, "integ", "--expr", expr, "--alpha", alpha, "--a", "0", "--t", "1")
+    assert code == 3
+    assert out == ""
+    assert err == "error: quadrature diverged: value or error bound is not finite\n"
+
+
+@pytest.mark.parametrize(
+    "expr, a, alpha",
+    [("t^-0.5", "0", alpha) for alpha in ("0.05", "0.2", "0.5")]
+    + [("t^-0.9", "0", alpha) for alpha in ("0.1", "0.5", "0.9")]
+    + [("(t-1)^-0.5", "1", alpha) for alpha in ("0.2", "0.5")],
+)
+def test_integ_undefined_at_the_terminal_exits_three(capsys, expr, a, alpha):
+    # v^(2/alpha) underflows to d = 0, where the zero base refuses its
+    # negative exponent: the quadrature has reached the terminal
+    t = str(float(a) + 2.0)
+    code, out, err = run(capsys, "integ", "--expr", expr, "--alpha", alpha, "--a", a, "--t", t)
     assert code == 3
     assert out == ""
     assert err == "error: quadrature diverged: value or error bound is not finite\n"

@@ -42,6 +42,29 @@ def test_cli_import_leaves_out_the_harness():
     assert added & {"json", "hashlib", "conformable.verify"} == set()
 
 
+_HASH_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import conformable.verify
+from conformable import *
+print(" ".join(sorted(sys.modules)))
+conformable.verify._registry_hash()
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def test_hashlib_loads_only_when_a_report_is_hashed():
+    # hashlib maps OpenSSL's libcrypto, so the harness imports it late.
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", _HASH_PROBE, str(SRC)],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    imported, hashed = (set(line.split()) for line in done.stdout.splitlines())
+    assert "conformable.verify" in imported
+    assert imported & {"hashlib", "_hashlib"} == set()
+    assert {"hashlib", "_hashlib"} <= hashed
+
+
 _TABLEAU_PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])

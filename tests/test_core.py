@@ -215,6 +215,24 @@ def test_limit_retries_once_with_smaller_steps_when_not_cauchy():
     assert abs(r.value - cf) <= 1e-6 * abs(cf)
 
 
+@pytest.mark.parametrize(
+    "source,alpha,t",
+    [("(t-1)^1.5", 1.0, 1.0), ("(t-1)^1.5", 1.0, 1.001), ("sqrt(t-1)*(t-1)", 0.5, 1.001)],
+)
+def test_limit_falls_back_to_the_forward_side_where_f_is_undefined_left_of_t(source, alpha, t):
+    # Backward probes below 1 raise DomainError; the forward quotients decide.
+    f = F(source)
+    cf = deriv_closed_form(f, alpha, 0.0, t)
+    r = deriv_limit(f, alpha, 0.0, t)
+    assert r.exists, r.reason
+    assert abs(r.value - cf.value) <= 1e-6  # verify's route_tol
+
+
+def test_limit_where_f_is_undefined_on_both_sides_of_t_raises():
+    with pytest.raises(DomainError, match="^sqrt of negative value"):
+        deriv_limit(F("sqrt(-(t-1)^2)"), 1.0, 0.0, 1.0)
+
+
 def test_limit_accepts_callable():
     r = deriv_limit(lambda x: x * x, 1.0, 0.0, 3.0)
     assert r.value == pytest.approx(6.0, abs=1e-8)
@@ -682,8 +700,7 @@ def _row(id, exact, call, source, *args, wrong_today=False):
     # The integral of (s-1)^(0.1-1) (s-1)^0.4 over [1, t] is 2 (t-1)^0.5.
     _row("integral_root_near_terminal", 2.0 * math.sqrt(1.001 - 1.0), integral,
          "(t-1)^0.4", 0.1, 1.0, 1.001, wrong_today=True),
-    _row("limit_left_of_base_zero", 0.0, deriv_limit, "(t-1)^1.5", 1.0, 0.0, 1.0,
-         wrong_today=True),
+    _row("limit_left_of_base_zero", 0.0, deriv_limit, "(t-1)^1.5", 1.0, 0.0, 1.0),
 ])
 def test_public_calls_give_the_exact_result(call, source, args, exact):
     # Right means: existence matches and |value - exact| <= err_estimate.

@@ -247,6 +247,43 @@ def test_integral_diverging_at_the_terminal_raises_convergence_error(source, a, 
         integral(F(source), alpha, a, a + 1.0)
 
 
+@pytest.mark.parametrize(
+    "source, a, alpha",
+    [("t^-0.5", 0.0, 0.05), ("t^-0.5", 0.0, 0.5), ("t^-0.9", 0.0, 0.9), ("(t-1)^-0.5", 1.0, 0.5)],
+)
+def test_integral_undefined_at_the_terminal_raises_convergence_error(source, a, alpha):
+    # The node at d = 0 raises DomainError ("zero base with negative exponent").
+    with pytest.raises(
+        ConvergenceError, match="^quadrature diverged: value or error bound is not finite$"
+    ) as info:
+        integral(F(source), alpha, a, a + 2.0)
+    assert isinstance(info.value.__cause__, DomainError)
+
+
+@pytest.mark.parametrize(
+    "source, alpha, t, exact",
+    [
+        # ∫_0^2 s^(alpha-1.5) ds = 2^(alpha-0.5) / (alpha-0.5)
+        ("t^-0.5", 0.6, 2.0, 2.0**0.1 / 0.1),
+        ("t^-0.5", 1.0, 2.0, 2.0**0.5 / 0.5),
+        # ∫_0^1 s^(alpha-1) ln s ds = -1/alpha^2
+        ("ln(t)", 0.05, 1.0, -400.0),
+        ("ln(t)", 0.5, 1.0, -4.0),
+    ],
+)
+def test_integral_of_a_terminal_singularity_that_converges(source, alpha, t, exact):
+    r = integral(F(source), alpha, 0.0, t)
+    assert abs(r.value - exact) <= max(r.err_estimate, 1e-12 * abs(exact))
+
+
+def test_integral_domain_error_inside_the_range_is_not_a_divergence():
+    # Only an offset below the smallest normal float reads as the terminal;
+    # the error keeps its message and carries the absolute point.
+    with pytest.raises(DomainError, match="^ln of non-positive value -0.875$") as info:
+        integral(F("ln(t-1)"), 0.5, 0.0, 2.0)
+    assert info.value.t == pytest.approx(0.125)
+
+
 # --------------------------------------------------------------------------
 # derivative of the integral (left inverse)
 # --------------------------------------------------------------------------
