@@ -297,10 +297,14 @@ def deriv_limit(f: Func, alpha: float, a: float, t: float) -> EvalResult:
     Probes theta of both signs at theta0 * 0.5^k, k < 12, extrapolates each
     side (and their central average), and reports DoesNotExist when the
     extrapolants fail the Cauchy test (1e-8 relative), the one-sided limits
-    disagree, or the raw quotients pass the divergence cap 1e12.  When a
-    backward probe raises DomainError (f is undefined just left of t), the
-    forward quotients alone decide, under the same Cauchy test: extrapolated
-    in powers of theta or, failing that, of sqrt(theta).
+    disagree, or the raw quotients pass the divergence cap 1e12.  Where the
+    larger backward probes raise DomainError and the smaller ones evaluate,
+    both sides use only the smaller steps; a DomainError after a backward
+    probe that evaluated is raised again.  When every backward probe raises,
+    and so does one at min(rounding floor, half the smallest step) left of
+    t, t is the left edge of f's domain and the forward quotients alone
+    decide, under the same Cauchy test: extrapolated in powers of theta or,
+    failing that, of sqrt(theta).
 
     The first step is theta0 = min(1e-2 * max(1, t-a), 0.5 * (t-a)^alpha);
     the second bound keeps every probe point strictly inside (a, inf), where
@@ -345,29 +349,45 @@ def _limit_from_quotients(
 ) -> EvalResult:
     """`deriv_limit` from the quotients at theta0 * _SHRINK^k, k < _LEVELS."""
     forward: list[float] = []
-    backward: list[float] | None = []
+    backward: list[float] = []
+    undefined: DomainError | None = None
     theta = theta0
     for _ in range(_LEVELS):
         step = theta * weight
         forward.append((point(t + step) - f0) / theta)
-        if backward is not None:
-            try:
-                backward.append((f0 - point(t - step)) / theta)
-            except DomainError:
-                backward = None
+        try:
+            backward.append((f0 - point(t - step)) / theta)
+        except DomainError as exc:
+            if backward:
+                # f is defined farther left and undefined nearer t.
+                raise
+            undefined = exc
         theta *= _SHRINK
-    if any(abs(q) > _DIVERGENCE_CAP for q in forward + (backward or [])):
+    if any(abs(q) > _DIVERGENCE_CAP for q in forward + backward):
         return EvalResult.does_not_exist("difference quotients exceed the divergence cap")
-    v_fwd, e_fwd = _neville_best(forward, _ONE_SIDED)
-    if backward is None:
-        # f is undefined somewhere left of t: the forward side alone decides,
-        # in powers of theta and, failing that, of sqrt(theta), as at an edge
-        # term (t - c)^(k + 1/2) of f's domain.
+    if not backward:
+        # f is undefined at every backward probe.  Unless it is defined
+        # nearer t, at the rounding floor or half the smallest step, so that
+        # t is inside f's domain after all, t is the left edge of the domain
+        # and the forward side alone decides: in powers of theta and,
+        # failing that, of sqrt(theta), as at an edge term (t - c)^(k + 1/2).
+        try:
+            point(t - min(math.sqrt(_EPS) * max(1.0, abs(t)), theta * weight))
+        except DomainError:
+            pass
+        else:
+            raise undefined
+        v_fwd, e_fwd = _neville_best(forward, _ONE_SIDED)
         if e_fwd > _CAUCHY_TOL * max(1.0, abs(v_fwd)):
             v_fwd, e_fwd = _neville_best(forward, _HALF_POWERS)
         if e_fwd > _CAUCHY_TOL * max(1.0, abs(v_fwd)):
             return EvalResult.does_not_exist(_NOT_CAUCHY)
         return EvalResult.of(v_fwd, e_fwd)
+    # Where the larger backward probes fell outside f's domain, both sides
+    # use only the steps at which f is defined left of t.
+    if len(backward) < _LEVELS:
+        forward = forward[-len(backward):]
+    v_fwd, e_fwd = _neville_best(forward, _ONE_SIDED)
     v_bwd, e_bwd = _neville_best(backward, _ONE_SIDED)
     central = [0.5 * (p + q) for p, q in zip(forward, backward)]
     v_ctr, e_ctr = _neville_best(central, _CENTRAL)

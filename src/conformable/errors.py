@@ -32,10 +32,11 @@ class UnknownIdentifierError(ParseError):
 
 
 class _AtPoint(Exception):
-    """An evaluation error, with the point ``t`` that its message names, or None.
+    """An evaluation error, with the point ``t`` where it was raised, or None.
 
-    Code that evaluates a body shifted to an offset (`expr.shifted`) names
-    the absolute point again through `moved`.
+    The message may or may not name that point.  Code that evaluates a body
+    shifted to an offset (`expr.shifted`) names the absolute point again
+    through `moved`, which leaves a message without ``t=...`` unchanged.
     """
 
     def __init__(self, message: str, t: float | None = None):

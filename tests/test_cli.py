@@ -47,6 +47,15 @@ def test_deriv_limit_where_f_is_undefined_left_of_t_agrees_with_closed(capsys, e
     assert abs(values[0] - values[1]) <= 1e-6  # verify's route_tol
 
 
+def test_deriv_limit_where_only_the_larger_backward_probes_fail_compares_both_sides(capsys):
+    # The right derivative is about 8.07 and the left about 6.07.
+    code, out, err = run(
+        capsys, "deriv", "--expr", "abs(t-1)+sqrt(t-0.995)", "--alpha", "1", "--a", "0",
+        "--t", "1", "--method", "limit",
+    )
+    assert (code, out, err) == (2, "does-not-exist reason=one-sided limits disagree\n", "")
+
+
 def test_deriv_limit_method(capsys):
     code, out, _ = run(
         capsys, "deriv", "--expr", "t^2", "--alpha", "1.0", "--a", "0",

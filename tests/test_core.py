@@ -220,12 +220,36 @@ def test_limit_retries_once_with_smaller_steps_when_not_cauchy():
     [("(t-1)^1.5", 1.0, 1.0), ("(t-1)^1.5", 1.0, 1.001), ("sqrt(t-1)*(t-1)", 0.5, 1.001)],
 )
 def test_limit_falls_back_to_the_forward_side_where_f_is_undefined_left_of_t(source, alpha, t):
-    # Backward probes below 1 raise DomainError; the forward quotients decide.
+    # Backward probes below 1 raise DomainError.  At t = 1 every one does and
+    # the forward quotients decide; at t = 1.001 the smaller steps evaluate
+    # and both sides use them.
     f = F(source)
     cf = deriv_closed_form(f, alpha, 0.0, t)
     r = deriv_limit(f, alpha, 0.0, t)
     assert r.exists, r.reason
     assert abs(r.value - cf.value) <= 1e-6  # verify's route_tol
+
+
+def test_limit_compares_both_sides_where_only_the_larger_backward_probes_fail():
+    # sqrt(t-0.995) is undefined at the first backward probe, 0.99, only.
+    # The right derivative is about 8.07, the left about 6.07.
+    r = deriv_limit(F("abs(t-1)+sqrt(t-0.995)"), 1.0, 0.0, 1.0)
+    assert not r.exists
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        # Defined at 0.99, 0.995 and 0.9975, undefined at 0.99875.
+        "sqrt((t-0.9985)^2-4e-7)",
+        # Undefined at every backward probe, defined from 1 - 1e-7: t is
+        # inside the domain, and its left derivative differs from the right.
+        "abs(t-1)+sqrt(t-1+1e-7)",
+    ],
+)
+def test_limit_where_f_is_defined_left_of_t_but_not_at_a_probe_raises(source):
+    with pytest.raises(DomainError, match="^sqrt of negative value"):
+        deriv_limit(F(source), 1.0, 0.0, 1.0)
 
 
 def test_limit_where_f_is_undefined_on_both_sides_of_t_raises():
