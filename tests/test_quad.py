@@ -1,4 +1,3 @@
-import functools
 import math
 import re
 import struct
@@ -68,7 +67,7 @@ def test_integral_convergence_error_on_tiny_budget():
 def test_integral_stops_on_the_leaf_sums():
     # Near the pole at 0.5 a huge panel enters the running totals and is split
     # later; the small panels beside it must not be lost in those totals.
-    with pytest.raises(NonFiniteError, match="overflow evaluating at t=0.5012"):
+    with pytest.raises(NonFiniteError, match="overflow evaluating at t=0.5006"):
         integral(F("exp(1/(t-0.5))"), 0.5, 0.0, 1.0)
 
 
@@ -90,14 +89,15 @@ def test_integral_additivity():
     alpha, a, t1, t2 = 0.7, 0.0, 1.5, 4.0
     whole = integral(f, alpha, a, t2)
     first = integral(f, alpha, a, t1)
-    from conformable.quad import _adaptive_quad, _gk15
+    from conformable.quad import _adaptive_quad
 
     def weighted(f, s):
         return (s - a) ** (alpha - 1.0) * evaluate_body(f, s)
 
     # s = t1 + v^2 over v in [0, sqrt(t2 - t1)]
-    panel = functools.partial(_gk15, weighted, f, t1, 2.0)
-    rest, _ = _adaptive_quad(panel, 0.0, math.sqrt(t2 - t1), quad.ABS_TOL, quad.REL_TOL)
+    rest, _ = _adaptive_quad(
+        weighted, f, t1, 2.0, math.sqrt(t2 - t1), quad.ABS_TOL, quad.REL_TOL
+    )
     tol = whole.err_estimate + first.err_estimate + 1e-9
     assert abs(whole.value - (first.value + rest)) <= tol
 
@@ -128,6 +128,27 @@ def test_gk15_rules_are_exact_on_even_monomials():
             assert abs(gauss - exact) <= Fraction(2e-15) * exact
 
 
+def test_p31_extends_k15_and_is_exact_on_even_monomials():
+    # P31 keeps the 15 K15 nodes and adds 16 that interlace them, 8 a side,
+    # the outermost new node first; every weight is positive, and P31 is exact
+    # to degree 46 (47 by symmetry), so the float table misses
+    # ∫_{-1}^{1} x^k dx = 2/(k+1) by a few ulps only.
+    assert len(quad._WPK) == len(quad._XGK) and len(quad._XP) == len(quad._WP) == 8
+    nodes = sorted(quad._XGK + quad._XP, reverse=True)
+    assert nodes[0::2] == list(quad._XP) and nodes[1::2] == list(quad._XGK)
+    assert 0.0 < min(quad._XP) and max(quad._XP) < 1.0
+    assert all(w > 0.0 for w in quad._WPK + quad._WP)
+    xk = [Fraction(x) for x in quad._XGK]
+    wk = [Fraction(w) for w in quad._WPK]
+    xp = [Fraction(x) for x in quad._XP]
+    wp = [Fraction(w) for w in quad._WP]
+    for k in range(0, 47, 2):
+        exact = Fraction(2, k + 1)
+        p31 = wk[7] * xk[7] ** k + 2 * sum(w * x**k for w, x in zip(wk[:7], xk[:7]))
+        p31 += 2 * sum(w * x**k for w, x in zip(wp, xp))
+        assert abs(p31 - exact) <= Fraction(4 * sys.float_info.epsilon) * exact
+
+
 @pytest.fixture
 def gk15_panels(monkeypatch):
     """The (lo, hi) of every GK15 panel the test evaluates, in order."""
@@ -142,12 +163,73 @@ def gk15_panels(monkeypatch):
     return panels
 
 
+@pytest.fixture
+def p31_panels(monkeypatch):
+    """The (lo, hi) of every panel the test extends to P31, in order."""
+    panels = []
+    p31 = quad._p31
+
+    def counting(point, f, av, inv, lo, hi, resp):
+        panels.append((lo, hi))
+        return p31(point, f, av, inv, lo, hi, resp)
+
+    monkeypatch.setattr(quad, "_p31", counting)
+    return panels
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Every point at which the test's quadratures evaluate the integrand."""
+    points = []
+
+    def counting(f, s):
+        points.append(s)
+        return evaluate_body(f, s)
+
+    monkeypatch.setattr(quad, "evaluate_body", counting)
+    return points
+
+
+def test_a_panel_with_a_good_k15_value_is_extended_not_split(evaluations, gk15_panels):
+    # |K15 - G7| misses the tolerance, but the K15 value is good: its
+    # extension to P31 shows that with 16 more nodes, where a split takes 30
+    r = integral(F("exp(t)"), 0.1, 0.0, 0.001)
+    assert len(evaluations) == 31
+    assert gk15_panels == [(0.0, 0.001**0.05)]
+    # ∫_0^d s^-0.9 e^s ds = Σ d^(n+0.1) / (n! (n+0.1))
+    exact = math.fsum(0.001 ** (n + 0.1) / (math.factorial(n) * (n + 0.1)) for n in range(8))
+    assert abs(r.value - exact) <= max(r.err_estimate, 1e-15 * exact)
+
+
+def test_a_singular_end_child_is_never_extended(gk15_panels, p31_panels):
+    # v = s^(alpha/2) turns ln(s) into ln(v) at v = 0, where the nested rules
+    # do not converge: a child at 0 goes straight to the quarter split, and
+    # only the whole range and panels away from 0 are extended
+    r = integral(F("ln(t)"), 0.5, 0.0, 1.0)
+    assert [p for p in gk15_panels if p[0] == 0.0][:3] == [(0.0, 1.0), (0.0, 0.25), (0.0, 0.0625)]
+    assert p31_panels[0] == (0.0, 1.0)
+    assert all(lo > 0.0 for lo, _ in p31_panels[1:])
+    # ∫_0^1 s^(alpha-1) ln s ds = -1/alpha^2
+    assert abs(r.value + 4.0) <= max(r.err_estimate, 1e-12)
+
+
+def test_an_extension_that_shows_no_convergence_keeps_the_larger_bound():
+    # A kink inside the range: where |P31 - K15| > 1e-3 |K15 - G7| the
+    # extended panel keeps |K15 - G7| and is split next.  Bounded by
+    # |P31 - K15| alone, this stopped 9.2e-8 off with a bound of 2.2e-9.
+    # Reference: mpmath at 50 digits, over u = s^alpha on [0, c] and [c, 3].
+    exact = 3.161510023935875
+    r = integral(F("abs(t-2.015904)^0.241"), 0.588, 0.0, 3.0)
+    assert abs(r.value - exact) <= 1e-9 * exact
+    assert abs(r.value - exact) <= r.err_estimate
+
+
 @pytest.mark.parametrize(
-    "source, alpha, calls", [("t^0.4", 0.5, 5), ("exp(t)", 0.8, 3)]
+    "source, alpha, calls", [("t^0.4", 1.0, 5), ("t^0.1", 0.5, 7)]
 )
 def test_singular_end_is_split_at_a_quarter(gk15_panels, source, alpha, calls):
-    # v = s^(alpha/2) leaves v * f(v^(2/alpha)) non-smooth at v = 0; halving
-    # needed 19 and 13 panels here with u = s^alpha, and quarters 11 and 7
+    # v = s^(alpha/2) leaves v * f(v^(2/alpha)) non-smooth at v = 0; once the
+    # whole range's P31 misses, it splits at a quarter, not in half
     r = integral(F(source), alpha, 0.0, 1.0)
     assert len(gk15_panels) == calls
     assert gk15_panels[:3] == [(0.0, 1.0), (0.0, 0.25), (0.25, 1.0)]
@@ -217,7 +299,7 @@ def test_integral_near_a_non_zero_terminal_keeps_the_digits_of_the_offset():
     "source, alpha, error, message",
     [
         ("1/(t-1.25)", 1.0, DomainError, "division by zero at t=1.25"),
-        ("exp(1/(t-1.5))", 0.5, NonFiniteError, "overflow evaluating at t=1.5012"),
+        ("exp(1/(t-1.5))", 0.5, NonFiniteError, "overflow evaluating at t=1.5006"),
         ("1e308*t*10", 0.5, NonFiniteError, "non-finite result inf at t=1.0625"),
     ],
 )
@@ -230,7 +312,7 @@ def test_integral_errors_name_the_point_not_the_offset(source, alpha, error, mes
     "source, alpha, message",
     [
         ("abs(t-1.25)", 1.0, "no first derivative at t=1.25: abs has no derivative at 0"),
-        ("exp(1/(t-1.3))", 0.5, "overflow evaluating at t=1.3008"),
+        ("exp(1/(t-1.3))", 0.5, "overflow evaluating at t=1.3010"),
     ],
 )
 def test_integral_of_deriv_names_the_point_not_the_offset(source, alpha, message):
@@ -426,24 +508,44 @@ def test_compositions_require_interior_point():
 # --------------------------------------------------------------------------
 
 def _reference_gk15(fn, lo, hi):
-    """One GK15 panel of a plain integrand, with the sums in the same order."""
+    """One GK15 panel of a plain integrand and its partial P31 sum, with the
+    sums in the same order."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     fc = fn(center)
     resk = quad._WGK[7] * fc
     resg = quad._WG[3] * fc
+    resp = quad._WPK[7] * fc
     for j in range(7):
         x = half * quad._XGK[j]
         pair = fn(center - x) + fn(center + x)
         resk += quad._WGK[j] * pair
+        resp += quad._WPK[j] * pair
         if j % 2 == 1:
             resg += quad._WG[j // 2] * pair
-    return resk * half, abs((resk - resg) * half)
+    return resk * half, abs((resk - resg) * half), resp
+
+
+def _reference_p31(fn, lo, hi, resp):
+    """The P31 value of a plain integrand from the partial sum `resp`."""
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    for xp, wp in zip(quad._XP, quad._WP):
+        resp += wp * (fn(center - half * xp) + fn(center + half * xp))
+    return resp * half
+
+
+def _node_rule(point, f, av, inv):
+    """The node rule v -> inv * v * point(f, av + v^inv) as a closure."""
+    return lambda v: inv * v * point(f, av + math.pow(v, inv))
 
 
 def _reference_panel(point, f, av, inv, lo, hi):
-    """The node rule v -> inv * v * point(f, av + v^inv) in a closure."""
-    return _reference_gk15(lambda v: inv * v * point(f, av + math.pow(v, inv)), lo, hi)
+    return _reference_gk15(_node_rule(point, f, av, inv), lo, hi)
+
+
+def _reference_extension(point, f, av, inv, lo, hi, resp):
+    return _reference_p31(_node_rule(point, f, av, inv), lo, hi, resp)
 
 
 def _outcome(fn, *args):
@@ -496,4 +598,5 @@ def test_panel_matches_the_closure_form_bit_for_bit(case):
     outcomes = [_outcome(op, f, alpha, a, t) for op in operators]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quad, "_gk15", _reference_panel)
+        mp.setattr(quad, "_p31", _reference_extension)
         assert [_outcome(op, f, alpha, a, t) for op in operators] == outcomes
