@@ -10,7 +10,8 @@ Integration, 1984).  f is evaluated in terminal-relative form, through
 f_a(d) = f(a + d) (`expr.shifted`), so no node rebuilds s - a from a rounded
 s.  Adaptive quadrature over v with nested rules then supplies a trustworthy
 error bound: the worst panel is first extended from Gauss-Kronrod (7, 15) to
-Patterson's 31-point rule on the same nodes, and only once extended split, in
+Patterson's 31-point rule on the same nodes, the whole range of a smooth f
+once more to Patterson's 63-point rule, and only once extended split, in
 half or, at v = 0, at a quarter; each panel maps its own nodes back to the
 offset d = v^(2/alpha).
 """
@@ -31,7 +32,7 @@ from .core import (
     right_limit,
 )
 from .errors import ConvergenceError, DomainError, NonDifferentiableError, NonFiniteError
-from .expr import FuncSpec, evaluate_body, shifted
+from .expr import FuncSpec, evaluate_body, evaluate_dual, shifted
 
 __all__ = [
     "ABS_TOL",
@@ -109,13 +110,69 @@ _WP = (
     0.099196857667432912489848978389310,
     0.104099955472697355014704207842270,
 )
-
-
-# The seven node pairs off the centre as (xgk, wgk, wg or None, wpk): every
-# second pair is also a Gauss node.
-_NODES = tuple(
-    (_XGK[j], _WGK[j], _WG[j // 2] if j % 2 else None, _WPK[j]) for j in range(7)
+# Patterson's 63-point extension of P31, exact through degree 95, from the
+# same script: its weights on the P31 nodes (the centre, the K15 pairs in the
+# order of _XGK, then the pairs of _XP).
+_WQP = (
+    0.052371606825453741755380443760816,
+    0.005660867725095312756491752589004,
+    0.015788872779215423952826797363047,
+    0.026192186880710567449383235551446,
+    0.035166023524553984272055668514642,
+    0.042249382781031758513685093961325,
+    0.047589015038602680558435386205614,
+    0.051107090052427067321974073405396,
+    0.001803939389445907328564786148484,
+    0.010519600488254708542550823156437,
+    0.021096745715199243564092531115339,
+    0.030910992205938984343763578651508,
+    0.038937673364353656897663986246097,
+    0.045130900978520531207843398040543,
+    0.049598428775219425281144054259548,
+    0.052049977691713990512535540115507,
 )
+# the 32 nodes P63 adds (positive half) and their weights
+_XQ = (
+    0.999809214198043517683853183801810,
+    0.996040238625968543068929416814380,
+    0.984637143875644179797308158697301,
+    0.963564953613396169948875982747928,
+    0.931984657380665140627131096209738,
+    0.889809364874942640040706031974947,
+    0.837456832560144586521412458847055,
+    0.775673908358334814097856547302901,
+    0.705382409374850309141845887609357,
+    0.627545421382293261363880410874788,
+    0.543082350986701131146601933622507,
+    0.452855632849607231381999359735536,
+    0.357714831586033270409031511090624,
+    0.258559618754472473546151272260968,
+    0.156392640336081401531118588925022,
+    0.052344665459830506663082263918285,
+)
+_WQ = (
+    0.000539407286658021770227282651189,
+    0.003557740557132036398470433186518,
+    0.008008877528118372921808738832923,
+    0.013129713474427210902904437075012,
+    0.018455916099884639803929444219689,
+    0.023683152580752000205659558914159,
+    0.028605857490498295943818272429331,
+    0.033099092907400232260095420548826,
+    0.037111404910397191759135754166883,
+    0.040648875788571024107184933445887,
+    0.043742748418925043826302908632958,
+    0.046413730813032435147882814992167,
+    0.048652555041851185680857155266320,
+    0.050419337829027882637267417252215,
+    0.051653256012700288788277931664642,
+    0.052290832457614024465476569516938,
+)
+
+
+# The seven node pairs off the centre as (xgk, wgk, wg or None): every second
+# pair is also a Gauss node.
+_NODES = tuple((_XGK[j], _WGK[j], _WG[j // 2] if j % 2 else None) for j in range(7))
 
 
 def _gk15(
@@ -125,28 +182,28 @@ def _gk15(
     inv: float,
     lo: float,
     hi: float,
-) -> tuple[float, float, float]:
+) -> tuple[float, float, list[float]]:
     """15-point Kronrod estimate and |K15 - G7| error bound on the panel
-    [lo, hi] in v, of v -> inv * v * point(f, av + v^inv), and the partial
-    P31 sum of the same 15 nodes, not yet scaled by the half-width, that
-    `_p31` completes."""
+    [lo, hi] in v, of v -> inv * v * point(f, av + v^inv), and the values of
+    the node rule there, the centre then the sum of each node pair, that the
+    extensions reuse."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     fc = inv * center * point(f, av + math.pow(center, inv))
     resk = _WGK[7] * fc
     resg = _WG[3] * fc
-    resp = _WPK[7] * fc
-    for xgk, wgk, wg, wpk in _NODES:
+    values = [fc]
+    for xgk, wgk, wg in _NODES:
         x = half * xgk
         v = center - x
         pair = inv * v * point(f, av + math.pow(v, inv))
         v = center + x
         pair += inv * v * point(f, av + math.pow(v, inv))
         resk += wgk * pair
-        resp += wpk * pair
         if wg is not None:
             resg += wg * pair
-    return resk * half, abs((resk - resg) * half), resp
+        values.append(pair)
+    return resk * half, abs((resk - resg) * half), values
 
 
 def _p31(
@@ -156,12 +213,16 @@ def _p31(
     inv: float,
     lo: float,
     hi: float,
-    resp: float,
+    values: list[float],
 ) -> float:
-    """Patterson's 31-point estimate on the panel [lo, hi]: the 16 nodes it
-    adds to K15, on top of `_gk15`'s partial sum `resp`."""
+    """Patterson's 31-point estimate on the panel [lo, hi]: `_gk15`'s node
+    values, and the 16 nodes it adds to K15, whose pair sums are appended to
+    `values` for `_p63`."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
+    resp = _WPK[7] * values[0]
+    for wpk, pair in zip(_WPK, values[1:]):
+        resp += wpk * pair
     for xp, wp in zip(_XP, _WP):
         x = half * xp
         v = center - x
@@ -169,15 +230,55 @@ def _p31(
         v = center + x
         pair += inv * v * point(f, av + math.pow(v, inv))
         resp += wp * pair
+        values.append(pair)
     return resp * half
+
+
+def _p63(
+    point: Callable[[FuncSpec, float], float],
+    f: FuncSpec,
+    av: float,
+    inv: float,
+    lo: float,
+    hi: float,
+    values: list[float],
+) -> float:
+    """Patterson's 63-point estimate on the panel [lo, hi]: the 31 node values
+    of `_gk15` and `_p31`, and the 32 nodes it adds to P31."""
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    resq = 0.0
+    for wq, value in zip(_WQP, values):
+        resq += wq * value
+    for xq, wq in zip(_XQ, _WQ):
+        x = half * xq
+        v = center - x
+        pair = inv * v * point(f, av + math.pow(v, inv))
+        v = center + x
+        pair += inv * v * point(f, av + math.pow(v, inv))
+        resq += wq * pair
+    return resq * half
+
+
+def _pair_defined(f: FuncSpec, d: float) -> bool:
+    """Whether forward mode evaluates f at d, as `core.deriv_at_terminal`
+    asks: it refuses a kink, a domain edge and a power below 1 at a zero
+    base."""
+    try:
+        evaluate_dual(f, d)
+    except (NonDifferentiableError, DomainError, NonFiniteError):
+        return False
+    return True
 
 
 _DIVERGED = "quadrature diverged: value or error bound is not finite"
 
 
-# A panel's extension to P31 shows convergence when |P31 - K15| is at most
-# _CONVERGED * |K15 - G7|; the bound of P31 is at least _ROUNDING * |P31|, for
-# rounding (the floor of QUADPACK's qk15).
+# A panel's extension to P31 (P63) shows convergence when |P31 - K15|
+# (|P63 - P31|) is at most _CONVERGED times the panel's bound; the bound of P31
+# is at least _ROUNDING * |P31|, for rounding (the floor of QUADPACK's qk15),
+# and that of P63 at least _ROUNDING * inv * |P63|, as d = v^inv amplifies the
+# rounding of a node by inv.
 _CONVERGED = 1e-3
 _ROUNDING = 50.0 * sys.float_info.epsilon
 
@@ -190,6 +291,7 @@ def _adaptive_quad(
     hi: float,
     abs_tol: float,
     rel_tol: float,
+    p63: bool = False,
 ) -> tuple[float, float]:
     """(value, bound) of ∫_0^hi inv * v * point(f, av + v^inv) dv: refine the
     worst panel until the summed error bound meets tolerance.
@@ -197,17 +299,21 @@ def _adaptive_quad(
     A K15 panel's bound |K15 - G7| measures G7, not the K15 value it comes
     with, so refining a K15 panel first extends it to P31, which reuses its
     15 nodes, and bounds P31 by |P31 - K15|; only a P31 panel, or one whose
-    extension shows no convergence, is split.  The panel at 0, where
-    `integral`'s substitution leaves its one singularity and the nested
-    rules do not converge, splits at a quarter (a graded mesh) and is never
-    extended unless it is the whole range; any other splits in half.  Only
+    extension shows no convergence, is split.  With `p63`, which only
+    `integral` sets, the whole range goes on from P31 to P63 before it is
+    split, if forward mode evaluates f at av: every non-analytic term of a
+    smooth f then enters the node rule as v^e with e > 1 + inv, negligible
+    below P63's smallest node, where |P63 - P31| cannot see it.  The panel
+    at 0, where `integral`'s substitution leaves its one singularity and the
+    nested rules do not converge, splits at a quarter (a graded mesh) and is
+    never extended unless it is the whole range; any other splits in half.  Only
     splits count toward MAX_SUBDIVISIONS.  Deterministic: the heap order is a
     total order on (error, position) and the final value is the
     left-to-right sum over the panel tree's leaves.
     """
-    val, err, resp = _gk15(point, f, av, inv, 0.0, hi)
-    # (-bound, lo, hi, value, bound, partial P31 sum or None once extended)
-    panels = [(-err, 0.0, hi, val, err, resp)]
+    val, err, values = _gk15(point, f, av, inv, 0.0, hi)
+    # (-bound, lo, hi, value, bound, node values or None once fully extended)
+    panels = [(-err, 0.0, hi, val, err, values)]
     total_val, total_err = val, err
     splits = 0
     while True:
@@ -225,16 +331,26 @@ def _adaptive_quad(
             raise ConvergenceError(
                 f"quadrature tolerances not met within {MAX_SUBDIVISIONS} subdivisions"
             )
-        _, p_lo, p_hi, p_val, p_err, p_resp = heapq.heappop(panels)
-        if p_resp is not None:
-            v = _p31(point, f, av, inv, p_lo, p_hi, p_resp)
+        _, p_lo, p_hi, p_val, p_err, p_values = heapq.heappop(panels)
+        # 8 values: a K15 panel; 16: the whole range extended to P31, whose
+        # smoothness test runs only now that P31 has missed
+        if p_values is not None and (len(p_values) == 8 or _pair_defined(f, av)):
+            if len(p_values) == 8:
+                v = _p31(point, f, av, inv, p_lo, p_hi, p_values)
+                floor = _ROUNDING * abs(v)
+                if not (p63 and p_lo == 0.0 and p_hi == hi):
+                    p_values = None
+            else:
+                v = _p63(point, f, av, inv, p_lo, p_hi, p_values)
+                floor = _ROUNDING * inv * abs(v)
+                p_values = None
             change = abs(v - p_val)
-            e = max(change, _ROUNDING * abs(v))
+            e = max(change, floor)
             if change > _CONVERGED * p_err:
                 e = max(e, p_err)
             total_val += v - p_val
             total_err += e - p_err
-            heapq.heappush(panels, (-e, p_lo, p_hi, v, e, None))
+            heapq.heappush(panels, (-e, p_lo, p_hi, v, e, p_values))
             continue
         mid = p_lo + 0.25 * (p_hi - p_lo) if p_lo == 0.0 else 0.5 * (p_lo + p_hi)
         if not p_lo < mid < p_hi:
@@ -257,6 +373,7 @@ def _substituted(
     al: float,
     av: float,
     t: float,
+    p63: bool = False,
 ) -> tuple[float, float]:
     """`_adaptive_quad`'s (value, bound) for ∫_a^t (s-a)^(al-1) point(f, s) ds,
     taken as (2/al) ∫_0^((t-a)^(al/2)) v point(f_a, v^(2/al)) dv over the
@@ -269,7 +386,9 @@ def _substituted(
     """
     hi = positive_power(t - av, 0.5 * al)
     try:
-        return _adaptive_quad(point, shifted(f, av), 0.0, 2.0 / al, hi, ABS_TOL, REL_TOL)
+        return _adaptive_quad(
+            point, shifted(f, av), 0.0, 2.0 / al, hi, ABS_TOL, REL_TOL, p63
+        )
     except (DomainError, NonDifferentiableError, NonFiniteError) as exc:
         if exc.t is None:
             raise
@@ -287,7 +406,7 @@ def integral(f: FuncSpec, alpha: float, a: float, t: float) -> EvalResult:
     diverges at the terminal raises ConvergenceError.
     """
     al, av, t = checked_interior(alpha, a, t)
-    value, bound = _substituted(evaluate_body, f, al, av, t)
+    value, bound = _substituted(evaluate_body, f, al, av, t, p63=True)
     return EvalResult.of(value, bound)
 
 
@@ -321,15 +440,21 @@ def integral_of_deriv(f: FuncSpec, alpha: float, a: float, t: float) -> EvalResu
 
     Equals f(t) minus the right limit of f at a (and hence f(t) - f(a)
     exactly when f is right-continuous there).  Reports DoesNotExist when
-    that right limit does not exist or is not finite.  Only interior
+    that right limit does not exist or is not finite.  It is sought only
+    where f does not evaluate at a: every operation of the language is
+    continuous where it is defined, except 0^g at g = 0, whose variable
+    exponent the forward pair refuses with DomainError.  Only interior
     derivatives enter, so the value is the same under either terminal mode.
     """
     al, av, t = checked_interior(alpha, a, t)
-    _, _, why = right_limit(lambda h: evaluate_body(f, av + h))
-    if why is not None:
-        return EvalResult.does_not_exist(
-            f"right limit of f at the lower terminal does not exist or is not finite: {why}"
-        )
+    try:
+        evaluate_body(f, av)
+    except (DomainError, NonFiniteError):
+        _, _, why = right_limit(lambda h: evaluate_body(f, av + h))
+        if why is not None:
+            return EvalResult.does_not_exist(
+                f"right limit of f at the lower terminal does not exist or is not finite: {why}"
+            )
 
     def point(fa: FuncSpec, d: float) -> float:
         # deriv_closed_form of f_a at d from 0 is that of f at a + d from a.

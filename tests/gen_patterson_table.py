@@ -9,13 +9,16 @@ addition of points to quadrature formulae, Math. Comp. 22, 1968):
 - K15 adds the 8 roots of the polynomial E8 with ∫ P7 E8 x^k dx = 0 on
   [-1, 1] for k < 8;
 - P31 adds the 16 roots of the polynomial E16 with ∫ P7 E8 E16 x^k dx = 0
-  for k < 16.
+  for k < 16;
+- P63 adds the 32 roots of the polynomial E32 with
+  ∫ P7 E8 E16 E32 x^k dx = 0 for k < 32.
 
 Each rule's weights solve its moment system Σ w x^k = 2/(k+1), so K15 is
-exact through degree 23 and P31 through degree 47.  The script checks that
-every node is real and inside (-1, 1), every weight is positive, the
-degrees hold, and the K15 stage rounds to the floats of `_XGK`/`_WGK`;
-then it prints the P31 literals to the 33 decimals of those tables.
+exact through degree 23, P31 through degree 47 and P63 through degree 95.
+The script checks that every node is real and inside (-1, 1), every weight
+is positive, the degrees hold, and the K15 stage rounds to the floats of
+`_XGK`/`_WGK`; then it prints the P31 and P63 literals to the 33 decimals of
+those tables.
 
 Run:  python3 tests/gen_patterson_table.py
 """
@@ -123,6 +126,14 @@ def main() -> None:
 
     weight_of = dict(zip(p31 + [mp.mpf(0)], wp31))
 
+    p31_poly = poly_mul(p15, node_poly([-x for x in p31_new] + p31_new))
+    p63_new = sorted(extension(p31_poly, 32), reverse=True)
+    p63 = sorted(p31 + p63_new, reverse=True)
+    wp63 = weights(p63)
+    assert all(w > 0 for w in wp63), "P63 weight not positive"
+    assert degree(p63, wp63) == 95, degree(p63, wp63)
+    p63_weight_of = dict(zip(p63 + [mp.mpf(0)], wp63))
+
     def literal(x):
         # every node and weight lies in (0, 1)
         return "0." + str(int(mp.nint(x * 10**DECIMALS))).zfill(DECIMALS)
@@ -140,6 +151,21 @@ def main() -> None:
     print("_WP = (")
     for x in p31_new:
         print(f"    {literal(weight_of[x])},")
+    print(")")
+    print("# P63 weights of the P31 nodes: the centre, the K15 pairs in the order of")
+    print("# _XGK, then the pairs of _XP")
+    print("_WQP = (")
+    for x in [mp.mpf(0)] + k15 + p31_new:
+        print(f"    {literal(p63_weight_of[x])},")
+    print(")")
+    print("# the 32 nodes P63 adds (positive half) and their weights")
+    print("_XQ = (")
+    for x in p63_new:
+        print(f"    {literal(x)},")
+    print(")")
+    print("_WQ = (")
+    for x in p63_new:
+        print(f"    {literal(p63_weight_of[x])},")
     print(")")
 
 

@@ -149,6 +149,28 @@ def test_p31_extends_k15_and_is_exact_on_even_monomials():
         assert abs(p31 - exact) <= Fraction(4 * sys.float_info.epsilon) * exact
 
 
+def test_p63_extends_p31_and_is_exact_on_even_monomials():
+    # P63 keeps the 31 P31 nodes and adds 32 that interlace them, 16 a side,
+    # the outermost new node first; every weight is positive, and P63 is exact
+    # to degree 94 (95 by symmetry).  _WQP weighs the P31 nodes in the order
+    # of the node values: the centre, the K15 pairs, then the pairs of _XP.
+    assert len(quad._WQP) == 16 and len(quad._XQ) == len(quad._WQ) == 16
+    p31_nodes = sorted(quad._XGK[:7] + quad._XP, reverse=True)
+    nodes = sorted(p31_nodes + list(quad._XQ), reverse=True)
+    assert nodes[0::2] == list(quad._XQ) and nodes[1::2] == p31_nodes
+    assert 0.0 < min(quad._XQ) and max(quad._XQ) < 1.0
+    assert all(w > 0.0 for w in quad._WQP + quad._WQ)
+    xs = [Fraction(x) for x in (quad._XGK[7],) + quad._XGK[:7] + quad._XP]
+    ws = [Fraction(w) for w in quad._WQP]
+    xq = [Fraction(x) for x in quad._XQ]
+    wq = [Fraction(w) for w in quad._WQ]
+    for k in range(0, 95, 2):
+        exact = Fraction(2, k + 1)
+        p63 = ws[0] * xs[0] ** k + 2 * sum(w * x**k for w, x in zip(ws[1:], xs[1:]))
+        p63 += 2 * sum(w * x**k for w, x in zip(wq, xq))
+        assert abs(p63 - exact) <= Fraction(4 * sys.float_info.epsilon) * exact
+
+
 @pytest.fixture
 def gk15_panels(monkeypatch):
     """The (lo, hi) of every GK15 panel the test evaluates, in order."""
@@ -169,9 +191,9 @@ def p31_panels(monkeypatch):
     panels = []
     p31 = quad._p31
 
-    def counting(point, f, av, inv, lo, hi, resp):
+    def counting(point, f, av, inv, lo, hi, values):
         panels.append((lo, hi))
-        return p31(point, f, av, inv, lo, hi, resp)
+        return p31(point, f, av, inv, lo, hi, values)
 
     monkeypatch.setattr(quad, "_p31", counting)
     return panels
@@ -236,6 +258,63 @@ def test_singular_end_is_split_at_a_quarter(gk15_panels, source, alpha, calls):
     assert r.exists
 
 
+@pytest.fixture
+def derivatives(monkeypatch):
+    """Every point at which `integral_of_deriv` evaluates its integrand."""
+    points = []
+    deriv_closed_form = quad.deriv_closed_form
+
+    def counting(f, alpha, a, t):
+        points.append(t)
+        return deriv_closed_form(f, alpha, a, t)
+
+    monkeypatch.setattr(quad, "deriv_closed_form", counting)
+    return points
+
+
+@pytest.mark.parametrize(
+    "source, alpha, a, t, exact",
+    [
+        # (2/alpha) v sin(1 + v^20): terms v^21, v^41, v^61, ... past the
+        # degree 47 of P31; the whole range extended to P31 and split took 123
+        ("sin(t)", 0.1, 1.0, 2.0, 8.685725423627723),
+        ("exp(t)", 0.2, -2.0, 1.0, 2.0898786108869967),
+    ],
+)
+def test_a_smooth_whole_range_is_extended_to_p63(
+    evaluations, gk15_panels, p31_panels, source, alpha, a, t, exact
+):
+    # Reference: mpmath at 50 digits.
+    r = integral(F(source), alpha, a, t)
+    assert len(evaluations) == 63
+    assert gk15_panels == p31_panels == [(0.0, (t - a) ** (alpha / 2))]
+    assert abs(r.value - exact) <= max(r.err_estimate, 1e-14 * exact)
+
+
+def test_a_whole_range_the_forward_pair_refuses_at_a_is_split_not_extended(evaluations):
+    # t^0.4 has no finite derivative at 0: its whole range splits after P31,
+    # with the evaluations and the bits of a two-stage quadrature
+    r = integral(F("t^0.4"), 1.0, 0.0, 1.0)
+    assert len(evaluations) == 91
+    assert (r.value, r.err_estimate) == (0.7142857142847601, 6.472848522909476e-10)
+
+
+def test_integral_of_deriv_is_not_extended_to_p63(derivatives):
+    # the integrand of integral_of_deriv is f's derivative, which forward mode
+    # at a does not vouch for: it stays with P31 and splits, as before
+    r = integral_of_deriv(F("sin(t)"), 0.1, 1.0, 2.0)
+    assert len(derivatives) == 169
+    assert (r.value, r.err_estimate) == (0.06782644201778516, 1.0251426649880367e-11)
+
+
+def test_the_probes_of_deriv_of_integral_are_not_extended_to_p63(evaluations):
+    # 63 evaluations for the existence check, the integral to t, and the
+    # probes' 375 as before
+    r = deriv_of_integral(F("sin(t)"), 0.1, 1.0, 2.0)
+    assert len(evaluations) == 63 + 375
+    assert r.value == pytest.approx(math.sin(2.0), abs=1e-6)
+
+
 @settings(max_examples=500, deadline=None)
 @given(
     st.floats(min_value=0.02, max_value=1.0),
@@ -284,6 +363,29 @@ def test_integral_of_a_shifted_power_within_its_bound(a, alpha, gamma, span, c):
     # as in test_integral_of_power_within_tolerance_and_bound, plus c's product
     reference_rounding = exact * (abs(math.log(d)) * math.ulp(p) + 5 * math.ulp(1.0))
     assert error <= max(r.err_estimate, 1e-14 * max(1.0, exact)) + reference_rounding
+
+
+_WRONG_TODAY = pytest.mark.xfail(strict=True, raises=AssertionError)
+
+
+# t^gamma at a = 0 against t^(alpha+gamma)/(alpha+gamma) at 50 digits.
+@pytest.mark.parametrize("gamma, alpha, t, exact", [
+    # on P63, whose rounding floor needs its factor inv = 2/alpha: without it
+    # the bound is 1.9e-14 against an error of 2.3e-14
+    pytest.param(2.0, 0.046966276759386874, 1.8512697333892236, 1.7234185767168175,
+                 id="v86_alpha0.047"),
+    # These finish on the whole range's P31 with a term v^2.1 of the node rule
+    # at v = 0 (2 gamma/alpha = 1.1), where P31 and K15 share the error below
+    # their smallest node and |P31 - K15| cannot see it; a change that mends
+    # one makes it pass, and it must then lose its mark.
+    pytest.param(0.5390035574865814, 0.9758537308735006, 0.5291498996479811,
+                 0.2517036339562607, id="v2.1_alpha0.976", marks=_WRONG_TODAY),
+    pytest.param(0.20773952806478665, 0.3764349398781962, 0.3144469040501452,
+                 0.8708380630436259, id="v2.1_alpha0.376", marks=_WRONG_TODAY),
+])
+def test_integral_of_power_within_its_bound(gamma, alpha, t, exact):
+    r = integral(F(f"t^{gamma!r}"), alpha, 0.0, t)
+    assert abs(r.value - exact) <= max(r.err_estimate, 1e-14 * max(1.0, exact))
 
 
 def test_integral_near_a_non_zero_terminal_keeps_the_digits_of_the_offset():
@@ -463,6 +565,23 @@ def test_right_inverse_rejects_oscillating_function_at_the_terminal():
     assert "right limit" in r.reason
 
 
+def test_right_inverse_takes_f_at_a_where_f_evaluates_there():
+    # The terminal mesh cannot extrapolate an h^0.4 term beside other terms
+    # and called this right limit missing; f evaluates at a, so f(a) is it.
+    # Exact: f(t) - f(a) = 0.5967765013485586.
+    f = F("(t-(0.0))^0.4+((cos(t))+(sin(t)))^2")
+    r = integral_of_deriv(f, 0.25, 0.0, 0.1)
+    assert abs(r.value - 0.5967765013485586) <= r.err_estimate
+    assert r.err_estimate <= 1e-10
+
+
+def test_right_inverse_of_a_zero_base_under_a_variable_exponent_raises():
+    # 0^(t-1) is 1 at a = 1 and 0 right of it, the one jump of the language
+    # at a point where f evaluates; the derivative's forward pair refuses it
+    with pytest.raises(DomainError, match="^variable exponent requires a positive base$"):
+        integral_of_deriv(F("0^(t-1)"), 0.5, 1.0, 2.0)
+
+
 def test_right_inverse_non_finite_derivative_does_not_exist():
     # exp(1/(t-0.3)) has a right limit at 0, but its derivative overflows
     # just right of 0.3 inside the quadrature: does-not-exist, not a raise
@@ -508,31 +627,49 @@ def test_compositions_require_interior_point():
 # --------------------------------------------------------------------------
 
 def _reference_gk15(fn, lo, hi):
-    """One GK15 panel of a plain integrand and its partial P31 sum, with the
-    sums in the same order."""
+    """One GK15 panel of a plain integrand and its node values, with the sums
+    in the same order."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     fc = fn(center)
     resk = quad._WGK[7] * fc
     resg = quad._WG[3] * fc
-    resp = quad._WPK[7] * fc
+    values = [fc]
     for j in range(7):
         x = half * quad._XGK[j]
         pair = fn(center - x) + fn(center + x)
         resk += quad._WGK[j] * pair
-        resp += quad._WPK[j] * pair
         if j % 2 == 1:
             resg += quad._WG[j // 2] * pair
-    return resk * half, abs((resk - resg) * half), resp
+        values.append(pair)
+    return resk * half, abs((resk - resg) * half), values
 
 
-def _reference_p31(fn, lo, hi, resp):
-    """The P31 value of a plain integrand from the partial sum `resp`."""
+def _reference_p31(fn, lo, hi, values):
+    """The P31 value of a plain integrand from the K15 node values, to which
+    the new pair sums are appended."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
+    resp = quad._WPK[7] * values[0]
+    for j in range(7):
+        resp += quad._WPK[j] * values[1 + j]
     for xp, wp in zip(quad._XP, quad._WP):
-        resp += wp * (fn(center - half * xp) + fn(center + half * xp))
+        pair = fn(center - half * xp) + fn(center + half * xp)
+        resp += wp * pair
+        values.append(pair)
     return resp * half
+
+
+def _reference_p63(fn, lo, hi, values):
+    """The P63 value of a plain integrand from the 31 P31 node values."""
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    resq = 0.0
+    for j in range(16):
+        resq += quad._WQP[j] * values[j]
+    for xq, wq in zip(quad._XQ, quad._WQ):
+        resq += wq * (fn(center - half * xq) + fn(center + half * xq))
+    return resq * half
 
 
 def _node_rule(point, f, av, inv):
@@ -544,8 +681,12 @@ def _reference_panel(point, f, av, inv, lo, hi):
     return _reference_gk15(_node_rule(point, f, av, inv), lo, hi)
 
 
-def _reference_extension(point, f, av, inv, lo, hi, resp):
-    return _reference_p31(_node_rule(point, f, av, inv), lo, hi, resp)
+def _reference_extension(point, f, av, inv, lo, hi, values):
+    return _reference_p31(_node_rule(point, f, av, inv), lo, hi, values)
+
+
+def _reference_second_extension(point, f, av, inv, lo, hi, values):
+    return _reference_p63(_node_rule(point, f, av, inv), lo, hi, values)
 
 
 def _outcome(fn, *args):
@@ -599,4 +740,5 @@ def test_panel_matches_the_closure_form_bit_for_bit(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quad, "_gk15", _reference_panel)
         mp.setattr(quad, "_p31", _reference_extension)
+        mp.setattr(quad, "_p63", _reference_second_extension)
         assert [_outcome(op, f, alpha, a, t) for op in operators] == outcomes
