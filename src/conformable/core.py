@@ -297,7 +297,9 @@ def deriv_limit(f: Func, alpha: float, a: float, t: float) -> EvalResult:
     Probes theta of both signs at theta0 * 0.5^k, k < 12, extrapolates each
     side (and their central average), and reports DoesNotExist when the
     extrapolants fail the Cauchy test (1e-8 relative), the one-sided limits
-    disagree, or the raw quotients pass the divergence cap 1e12.  Where the
+    disagree, or the raw quotients pass the divergence cap 1e12; where only
+    the central one fails, as where f'' jumps at t, the mean of the
+    one-sided ones stands in for it.  Where the
     larger backward probes raise DomainError and the smaller ones evaluate,
     both sides use only the smaller steps; a DomainError after a backward
     probe that evaluated is raised again.  When every backward probe raises,
@@ -391,12 +393,15 @@ def _limit_from_quotients(
     v_bwd, e_bwd = _neville_best(backward, _ONE_SIDED)
     central = [0.5 * (p + q) for p, q in zip(forward, backward)]
     v_ctr, e_ctr = _neville_best(central, _CENTRAL)
-    scale = max(1.0, abs(v_ctr))
-    if e_ctr > _CAUCHY_TOL * scale:
-        return EvalResult.does_not_exist(_NOT_CAUCHY)
+    if e_ctr > _CAUCHY_TOL * max(1.0, abs(v_ctr)):
+        # A jump of f'' at t leaves a term in theta in the central quotients,
+        # which _CENTRAL does not remove; the one-sided limits still stand.
+        if max(e_fwd, e_bwd) > _CAUCHY_TOL * max(1.0, abs(v_fwd), abs(v_bwd)):
+            return EvalResult.does_not_exist(_NOT_CAUCHY)
+        v_ctr, e_ctr = 0.5 * (v_fwd + v_bwd), max(e_fwd, e_bwd)
     gap = abs(v_fwd - v_bwd)
     noise = 4.0 * (e_fwd + e_bwd)
-    if gap > max(_CAUCHY_TOL * max(scale, abs(v_fwd), abs(v_bwd)), noise):
+    if gap > max(_CAUCHY_TOL * max(1.0, abs(v_ctr), abs(v_fwd), abs(v_bwd)), noise):
         return EvalResult.does_not_exist("one-sided limits disagree")
     return EvalResult.of(v_ctr, max(e_ctr, gap))
 

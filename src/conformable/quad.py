@@ -9,11 +9,12 @@ u = (s-a)^alpha leaves (Davis & Rabinowitz, Methods of Numerical
 Integration, 1984).  f is evaluated in terminal-relative form, through
 f_a(d) = f(a + d) (`expr.shifted`), so no node rebuilds s - a from a rounded
 s.  Adaptive quadrature over v with nested rules then supplies a trustworthy
-error bound: the worst panel is first extended from Gauss-Kronrod (7, 15) to
-Patterson's 31-point rule on the same nodes, the whole range of a smooth f
-once more to Patterson's 63-point rule, and only once extended split, in
-half or, at v = 0, at a quarter; each panel maps its own nodes back to the
-offset d = v^(2/alpha).
+error bound: the worst panel is first extended along Patterson's nested
+sequence, one row of a stage table at a time, from Gauss-Kronrod (7, 15) to
+the 31-point rule on the same nodes and, for the whole range of a smooth f,
+on to the 63-point rule, and only once extended split, in half or, at
+v = 0, at a quarter; each panel maps its own nodes back to the offset
+d = v^(2/alpha).
 """
 
 from __future__ import annotations
@@ -78,9 +79,11 @@ _WG = (
     0.417959183673469387755102040816327,
 )
 # Patterson's 31-point extension of K15 (Math. Comp. 22, 1968), exact through
-# degree 47, from tests/gen_patterson_table.py: its weights on the K15 nodes,
-# in the order of _XGK, then the 16 nodes it adds (positive half) and theirs.
+# degree 47, from tests/gen_patterson_table.py: its weights on the K15 node
+# values (the centre, then the pairs in the order of _XGK), then the 16 nodes
+# it adds (positive half) and theirs.
 _WPK = (
+    0.104743213564805844727591962771386,
     0.011319468444683435107484337677574,
     0.031577706217045857273769765165731,
     0.052384370820982692472468037761585,
@@ -88,7 +91,6 @@ _WPK = (
     0.084498765301243021195121987354564,
     0.095178029931830680121115000866675,
     0.102214180005702743915914938969645,
-    0.104743213564805844727591962771386,
 )
 _XP = (
     0.998687109678466729790660660569463,
@@ -174,6 +176,16 @@ _WQ = (
 # pair is also a Gauss node.
 _NODES = tuple((_XGK[j], _WGK[j], _WG[j // 2] if j % 2 else None) for j in range(7))
 
+# The extensions of K15, one row per stage: its weights on the node values
+# already taken, and the node pairs it adds with their weights.  P31 may
+# extend any panel, P63 only `integral`'s whole range (`_adaptive_quad`).
+_STAGES = (
+    (_WPK, tuple(zip(_XP, _WP))),
+    (_WQP, tuple(zip(_XQ, _WQ))),
+)
+# the stage of a panel that takes no further one
+_DONE = len(_STAGES)
+
 
 def _gk15(
     point: Callable[[FuncSpec, float], float],
@@ -206,7 +218,7 @@ def _gk15(
     return resk * half, abs((resk - resg) * half), values
 
 
-def _p31(
+def _extend(
     point: Callable[[FuncSpec, float], float],
     f: FuncSpec,
     av: float,
@@ -214,50 +226,26 @@ def _p31(
     lo: float,
     hi: float,
     values: list[float],
+    k: int,
 ) -> float:
-    """Patterson's 31-point estimate on the panel [lo, hi]: `_gk15`'s node
-    values, and the 16 nodes it adds to K15, whose pair sums are appended to
-    `values` for `_p63`."""
+    """Stage k of `_STAGES` on the panel [lo, hi]: its estimate from the node
+    values taken so far and the node pairs it adds, whose sums are appended
+    to `values` for the next stage."""
+    weights, pairs = _STAGES[k]
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    resp = _WPK[7] * values[0]
-    for wpk, pair in zip(_WPK, values[1:]):
-        resp += wpk * pair
-    for xp, wp in zip(_XP, _WP):
-        x = half * xp
+    res = 0.0
+    for w, value in zip(weights, values):
+        res += w * value
+    for x, w in pairs:
+        x *= half
         v = center - x
         pair = inv * v * point(f, av + math.pow(v, inv))
         v = center + x
         pair += inv * v * point(f, av + math.pow(v, inv))
-        resp += wp * pair
+        res += w * pair
         values.append(pair)
-    return resp * half
-
-
-def _p63(
-    point: Callable[[FuncSpec, float], float],
-    f: FuncSpec,
-    av: float,
-    inv: float,
-    lo: float,
-    hi: float,
-    values: list[float],
-) -> float:
-    """Patterson's 63-point estimate on the panel [lo, hi]: the 31 node values
-    of `_gk15` and `_p31`, and the 32 nodes it adds to P31."""
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    resq = 0.0
-    for wq, value in zip(_WQP, values):
-        resq += wq * value
-    for xq, wq in zip(_XQ, _WQ):
-        x = half * xq
-        v = center - x
-        pair = inv * v * point(f, av + math.pow(v, inv))
-        v = center + x
-        pair += inv * v * point(f, av + math.pow(v, inv))
-        resq += wq * pair
-    return resq * half
+    return res * half
 
 
 def _pair_defined(f: FuncSpec, d: float) -> bool:
@@ -274,8 +262,8 @@ def _pair_defined(f: FuncSpec, d: float) -> bool:
 _DIVERGED = "quadrature diverged: value or error bound is not finite"
 
 
-# A panel's extension to P31 (P63) shows convergence when |P31 - K15|
-# (|P63 - P31|) is at most _CONVERGED times the panel's bound; the bound of P31
+# A panel's extension shows convergence when its change, |P31 - K15| or
+# |P63 - P31|, is at most _CONVERGED times the panel's bound; the bound of P31
 # is at least _ROUNDING * |P31|, for rounding (the floor of QUADPACK's qk15),
 # and that of P63 at least _ROUNDING * inv * |P63|, as d = v^inv amplifies the
 # rounding of a node by inv.
@@ -297,23 +285,24 @@ def _adaptive_quad(
     worst panel until the summed error bound meets tolerance.
 
     A K15 panel's bound |K15 - G7| measures G7, not the K15 value it comes
-    with, so refining a K15 panel first extends it to P31, which reuses its
-    15 nodes, and bounds P31 by |P31 - K15|; only a P31 panel, or one whose
-    extension shows no convergence, is split.  With `p63`, which only
-    `integral` sets, the whole range goes on from P31 to P63 before it is
-    split, if forward mode evaluates f at av: every non-analytic term of a
-    smooth f then enters the node rule as v^e with e > 1 + inv, negligible
-    below P63's smallest node, where |P63 - P31| cannot see it.  The panel
-    at 0, where `integral`'s substitution leaves its one singularity and the
-    nested rules do not converge, splits at a quarter (a graded mesh) and is
-    never extended unless it is the whole range; any other splits in half.  Only
-    splits count toward MAX_SUBDIVISIONS.  Deterministic: the heap order is a
-    total order on (error, position) and the final value is the
-    left-to-right sum over the panel tree's leaves.
+    with, so refining a panel first extends it by the next row of `_STAGES`,
+    which reuses the nodes taken, and bounds the new value by its change;
+    only a panel with no stage left, or one whose extension shows no
+    convergence, is split.  Every panel may take P31 but a split's child at
+    0, where `integral`'s substitution leaves its one singularity and the
+    nested rules do not converge.  With `p63`, which only `integral` sets,
+    the whole range goes on to P63 before it is split, if forward mode
+    evaluates f at av: every non-analytic term of a smooth f then enters the
+    node rule as v^e with e > 1 + inv, negligible below P63's smallest node,
+    where |P63 - P31| cannot see it.  The panel at 0 splits at a quarter (a
+    graded mesh), any other in half.  Only splits count toward
+    MAX_SUBDIVISIONS.  Deterministic: the heap order is a total order on
+    (error, position) and the final value is the left-to-right sum over the
+    panel tree's leaves.
     """
     val, err, values = _gk15(point, f, av, inv, 0.0, hi)
-    # (-bound, lo, hi, value, bound, node values or None once fully extended)
-    panels = [(-err, 0.0, hi, val, err, values)]
+    # (-bound, lo, hi, value, bound, node values, the next stage it may take)
+    panels = [(-err, 0.0, hi, val, err, values, 0)]
     total_val, total_err = val, err
     splits = 0
     while True:
@@ -322,7 +311,7 @@ def _adaptive_quad(
             # was later split; stop only when the leaf sums, which are returned,
             # meet the tolerance too.
             total_val = total_err = 0.0
-            for _, _, _, v, e, _ in sorted(panels, key=lambda p: p[1]):
+            for _, _, _, v, e, _, _ in sorted(panels, key=lambda p: p[1]):
                 total_val += v
                 total_err += e
             if not total_err > max(abs_tol, rel_tol * abs(total_val)):
@@ -331,26 +320,18 @@ def _adaptive_quad(
             raise ConvergenceError(
                 f"quadrature tolerances not met within {MAX_SUBDIVISIONS} subdivisions"
             )
-        _, p_lo, p_hi, p_val, p_err, p_values = heapq.heappop(panels)
-        # 8 values: a K15 panel; 16: the whole range extended to P31, whose
-        # smoothness test runs only now that P31 has missed
-        if p_values is not None and (len(p_values) == 8 or _pair_defined(f, av)):
-            if len(p_values) == 8:
-                v = _p31(point, f, av, inv, p_lo, p_hi, p_values)
-                floor = _ROUNDING * abs(v)
-                if not (p63 and p_lo == 0.0 and p_hi == hi):
-                    p_values = None
-            else:
-                v = _p63(point, f, av, inv, p_lo, p_hi, p_values)
-                floor = _ROUNDING * inv * abs(v)
-                p_values = None
+        _, p_lo, p_hi, p_val, p_err, p_values, k = heapq.heappop(panels)
+        # P63's smoothness test runs only now that the whole range's P31 has missed
+        if k == 0 or k < _DONE and _pair_defined(f, av):
+            v = _extend(point, f, av, inv, p_lo, p_hi, p_values, k)
             change = abs(v - p_val)
-            e = max(change, floor)
+            e = max(change, _ROUNDING * (inv if k else 1.0) * abs(v))
             if change > _CONVERGED * p_err:
                 e = max(e, p_err)
             total_val += v - p_val
             total_err += e - p_err
-            heapq.heappush(panels, (-e, p_lo, p_hi, v, e, p_values))
+            k = k + 1 if p63 and p_lo == 0.0 and p_hi == hi else _DONE
+            heapq.heappush(panels, (-e, p_lo, p_hi, v, e, p_values, k))
             continue
         mid = p_lo + 0.25 * (p_hi - p_lo) if p_lo == 0.0 else 0.5 * (p_lo + p_hi)
         if not p_lo < mid < p_hi:
@@ -359,8 +340,8 @@ def _adaptive_quad(
         v2, e2, r2 = _gk15(point, f, av, inv, mid, p_hi)
         total_val += v1 + v2 - p_val
         total_err += e1 + e2 - p_err
-        heapq.heappush(panels, (-e1, p_lo, mid, v1, e1, None if p_lo == 0.0 else r1))
-        heapq.heappush(panels, (-e2, mid, p_hi, v2, e2, r2))
+        heapq.heappush(panels, (-e1, p_lo, mid, v1, e1, r1, _DONE if p_lo == 0.0 else 0))
+        heapq.heappush(panels, (-e2, mid, p_hi, v2, e2, r2, 0))
         splits += 1
     if not (math.isfinite(total_val) and math.isfinite(total_err)):
         raise ConvergenceError(_DIVERGED)

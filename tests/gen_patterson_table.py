@@ -16,9 +16,9 @@ addition of points to quadrature formulae, Math. Comp. 22, 1968):
 Each rule's weights solve its moment system Σ w x^k = 2/(k+1), so K15 is
 exact through degree 23, P31 through degree 47 and P63 through degree 95.
 The script checks that every node is real and inside (-1, 1), every weight
-is positive, the degrees hold, and the K15 stage rounds to the floats of
-`_XGK`/`_WGK`; then it prints the P31 and P63 literals to the 33 decimals of
-those tables.
+is positive, the degrees hold, and every stage rounds to the floats of
+quad's tables; then it prints the P31 and P63 literals to the 33 decimals of
+those tables, each table of weights on the node values taken centre first.
 
 Run:  python3 tests/gen_patterson_table.py
 """
@@ -134,39 +134,31 @@ def main() -> None:
     assert degree(p63, wp63) == 95, degree(p63, wp63)
     p63_weight_of = dict(zip(p63 + [mp.mpf(0)], wp63))
 
+    tables = {
+        # P31's weights on the K15 node values: the centre, then the pairs in
+        # the order of _XGK
+        "_WPK": [weight_of[x] for x in [mp.mpf(0)] + k15],
+        "_XP": p31_new,
+        "_WP": [weight_of[x] for x in p31_new],
+        # P63's weights on the P31 node values: the centre, the K15 pairs,
+        # then the pairs of _XP
+        "_WQP": [p63_weight_of[x] for x in [mp.mpf(0)] + k15 + p31_new],
+        "_XQ": p63_new,
+        "_WQ": [p63_weight_of[x] for x in p63_new],
+    }
+    for name, values in tables.items():
+        floats = [float(x) for x in values]
+        assert floats == list(getattr(quad, name)), f"{name} differs from quad's table"
+
     def literal(x):
         # every node and weight lies in (0, 1)
         return "0." + str(int(mp.nint(x * 10**DECIMALS))).zfill(DECIMALS)
 
-    print("# P31 weights of the K15 nodes, in the order of _XGK")
-    print("_WPK = (")
-    for x in k15 + [mp.mpf(0)]:
-        print(f"    {literal(weight_of[x])},")
-    print(")")
-    print("# the 16 nodes P31 adds (positive half) and their weights")
-    print("_XP = (")
-    for x in p31_new:
-        print(f"    {literal(x)},")
-    print(")")
-    print("_WP = (")
-    for x in p31_new:
-        print(f"    {literal(weight_of[x])},")
-    print(")")
-    print("# P63 weights of the P31 nodes: the centre, the K15 pairs in the order of")
-    print("# _XGK, then the pairs of _XP")
-    print("_WQP = (")
-    for x in [mp.mpf(0)] + k15 + p31_new:
-        print(f"    {literal(p63_weight_of[x])},")
-    print(")")
-    print("# the 32 nodes P63 adds (positive half) and their weights")
-    print("_XQ = (")
-    for x in p63_new:
-        print(f"    {literal(x)},")
-    print(")")
-    print("_WQ = (")
-    for x in p63_new:
-        print(f"    {literal(p63_weight_of[x])},")
-    print(")")
+    for name, values in tables.items():
+        print(f"{name} = (")
+        for x in values:
+            print(f"    {literal(x)},")
+        print(")")
 
 
 if __name__ == "__main__":

@@ -56,6 +56,19 @@ def test_deriv_limit_where_only_the_larger_backward_probes_fail_compares_both_si
     assert (code, out, err) == (2, "does-not-exist reason=one-sided limits disagree\n", "")
 
 
+@pytest.mark.parametrize("expr, exact", [("(t-1)*abs(t-1)", 0.0), ("t^2+(t-1)*abs(t-1)", 2.0)])
+def test_deriv_limit_where_f2_jumps_exists(capsys, expr, exact):
+    # The limit route takes the mean of the one-sided limits; the closed
+    # route still refuses, as forward mode refuses abs at 0.
+    argv = ("deriv", "--expr", expr, "--alpha", "1", "--a", "0", "--t", "1", "--method")
+    code, out, err = run(capsys, *argv, "limit")
+    assert (code, err) == (0, "")
+    assert abs(float(out.split()[0].removeprefix("value=")) - exact) <= 1e-11
+    assert run(capsys, *argv, "closed") == (
+        2, "does-not-exist reason=no first derivative at t=1.0: abs has no derivative at 0\n", ""
+    )
+
+
 def test_deriv_limit_method(capsys):
     code, out, _ = run(
         capsys, "deriv", "--expr", "t^2", "--alpha", "1.0", "--a", "0",

@@ -238,6 +238,29 @@ def test_limit_compares_both_sides_where_only_the_larger_backward_probes_fail():
 
 
 @pytest.mark.parametrize(
+    "source, alpha, a, exact",
+    [
+        ("(t-1)*abs(t-1)", 1.0, 0.0, 0.0),
+        ("t^2+(t-1)*abs(t-1)", 1.0, 0.0, 2.0),
+        # (t - a)^(1 - alpha) f'(t) = 4^0.5 * 2
+        ("t^2+(t-1)*abs(t-1)", 0.5, -3.0, 4.0),
+    ],
+)
+def test_limit_where_f2_jumps_takes_the_mean_of_the_one_sided_limits(source, alpha, a, exact):
+    # f'' jumps by 4 at t = 1, so the central quotients keep a term in theta
+    # that _CENTRAL does not remove and are not Cauchy; the one-sided limits
+    # are, and they agree.
+    r = deriv_limit(F(source), alpha, a, 1.0)
+    assert r.exists, r.reason
+    assert abs(r.value - exact) <= r.err_estimate + 1e-15
+    assert r.err_estimate <= 1e-11
+
+
+def test_limit_where_f_kinks_still_has_disagreeing_one_sided_limits():
+    assert deriv_limit(F("abs(t-1)"), 1.0, 0.0, 1.0).reason == "one-sided limits disagree"
+
+
+@pytest.mark.parametrize(
     "source",
     [
         # Defined at 0.99, 0.995 and 0.9975, undefined at 0.99875.

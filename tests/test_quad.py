@@ -128,47 +128,33 @@ def test_gk15_rules_are_exact_on_even_monomials():
             assert abs(gauss - exact) <= Fraction(2e-15) * exact
 
 
-def test_p31_extends_k15_and_is_exact_on_even_monomials():
-    # P31 keeps the 15 K15 nodes and adds 16 that interlace them, 8 a side,
-    # the outermost new node first; every weight is positive, and P31 is exact
-    # to degree 46 (47 by symmetry), so the float table misses
-    # ∫_{-1}^{1} x^k dx = 2/(k+1) by a few ulps only.
-    assert len(quad._WPK) == len(quad._XGK) and len(quad._XP) == len(quad._WP) == 8
-    nodes = sorted(quad._XGK + quad._XP, reverse=True)
-    assert nodes[0::2] == list(quad._XP) and nodes[1::2] == list(quad._XGK)
-    assert 0.0 < min(quad._XP) and max(quad._XP) < 1.0
-    assert all(w > 0.0 for w in quad._WPK + quad._WP)
-    xk = [Fraction(x) for x in quad._XGK]
-    wk = [Fraction(w) for w in quad._WPK]
-    xp = [Fraction(x) for x in quad._XP]
-    wp = [Fraction(w) for w in quad._WP]
-    for k in range(0, 47, 2):
-        exact = Fraction(2, k + 1)
-        p31 = wk[7] * xk[7] ** k + 2 * sum(w * x**k for w, x in zip(wk[:7], xk[:7]))
-        p31 += 2 * sum(w * x**k for w, x in zip(wp, xp))
-        assert abs(p31 - exact) <= Fraction(4 * sys.float_info.epsilon) * exact
-
-
-def test_p63_extends_p31_and_is_exact_on_even_monomials():
-    # P63 keeps the 31 P31 nodes and adds 32 that interlace them, 16 a side,
-    # the outermost new node first; every weight is positive, and P63 is exact
-    # to degree 94 (95 by symmetry).  _WQP weighs the P31 nodes in the order
-    # of the node values: the centre, the K15 pairs, then the pairs of _XP.
-    assert len(quad._WQP) == 16 and len(quad._XQ) == len(quad._WQ) == 16
-    p31_nodes = sorted(quad._XGK[:7] + quad._XP, reverse=True)
-    nodes = sorted(p31_nodes + list(quad._XQ), reverse=True)
-    assert nodes[0::2] == list(quad._XQ) and nodes[1::2] == p31_nodes
-    assert 0.0 < min(quad._XQ) and max(quad._XQ) < 1.0
-    assert all(w > 0.0 for w in quad._WQP + quad._WQ)
-    xs = [Fraction(x) for x in (quad._XGK[7],) + quad._XGK[:7] + quad._XP]
-    ws = [Fraction(w) for w in quad._WQP]
-    xq = [Fraction(x) for x in quad._XQ]
-    wq = [Fraction(w) for w in quad._WQ]
-    for k in range(0, 95, 2):
-        exact = Fraction(2, k + 1)
-        p63 = ws[0] * xs[0] ** k + 2 * sum(w * x**k for w, x in zip(ws[1:], xs[1:]))
-        p63 += 2 * sum(w * x**k for w, x in zip(wq, xq))
-        assert abs(p63 - exact) <= Fraction(4 * sys.float_info.epsilon) * exact
+@pytest.mark.parametrize(
+    "k, degree", [pytest.param(0, 47, id="P31"), pytest.param(1, 95, id="P63")]
+)
+def test_each_stage_extends_the_last_and_is_exact_on_even_monomials(k, degree):
+    # Stage k of the table keeps the nodes taken so far and adds one more
+    # pair than there are, interlacing them, the outermost new node first;
+    # every weight is positive, and P31 (P63) is exact to degree 46 (94; 47
+    # and 95 by symmetry), so the float table misses ∫_{-1}^{1} x^m dx =
+    # 2/(m+1) by a few ulps only.  Its weights on the nodes taken follow the
+    # node values: the centre, then each pair in the order taken.
+    taken = list(quad._XGK[:7])
+    for _, pairs in quad._STAGES[:k]:
+        taken += [x for x, _ in pairs]
+    weights, pairs = quad._STAGES[k]
+    new = [x for x, _ in pairs]
+    assert len(weights) == 1 + len(taken) and len(new) == len(taken) + 1
+    nodes = sorted(taken + new, reverse=True)
+    assert nodes[0::2] == new and nodes[1::2] == sorted(taken, reverse=True)
+    assert 0.0 < min(new) and max(new) < 1.0
+    assert all(w > 0.0 for w in weights) and all(w > 0.0 for _, w in pairs)
+    xs = [Fraction(x) for x in taken]
+    ws = [Fraction(w) for w in weights]
+    for m in range(0, degree, 2):
+        exact = Fraction(2, m + 1)
+        rule = ws[0] * (1 if m == 0 else 0) + 2 * sum(w * x**m for w, x in zip(ws[1:], xs))
+        rule += 2 * sum(Fraction(w) * Fraction(x) ** m for x, w in pairs)
+        assert abs(rule - exact) <= Fraction(4 * sys.float_info.epsilon) * exact
 
 
 @pytest.fixture
@@ -186,16 +172,17 @@ def gk15_panels(monkeypatch):
 
 
 @pytest.fixture
-def p31_panels(monkeypatch):
-    """The (lo, hi) of every panel the test extends to P31, in order."""
+def extensions(monkeypatch):
+    """(stage, lo, hi) of every panel extension the test makes, in order:
+    stage 0 is P31, stage 1 P63."""
     panels = []
-    p31 = quad._p31
+    extend = quad._extend
 
-    def counting(point, f, av, inv, lo, hi, values):
-        panels.append((lo, hi))
-        return p31(point, f, av, inv, lo, hi, values)
+    def counting(point, f, av, inv, lo, hi, values, k):
+        panels.append((k, lo, hi))
+        return extend(point, f, av, inv, lo, hi, values, k)
 
-    monkeypatch.setattr(quad, "_p31", counting)
+    monkeypatch.setattr(quad, "_extend", counting)
     return panels
 
 
@@ -223,14 +210,14 @@ def test_a_panel_with_a_good_k15_value_is_extended_not_split(evaluations, gk15_p
     assert abs(r.value - exact) <= max(r.err_estimate, 1e-15 * exact)
 
 
-def test_a_singular_end_child_is_never_extended(gk15_panels, p31_panels):
+def test_a_singular_end_child_is_never_extended(gk15_panels, extensions):
     # v = s^(alpha/2) turns ln(s) into ln(v) at v = 0, where the nested rules
     # do not converge: a child at 0 goes straight to the quarter split, and
     # only the whole range and panels away from 0 are extended
     r = integral(F("ln(t)"), 0.5, 0.0, 1.0)
     assert [p for p in gk15_panels if p[0] == 0.0][:3] == [(0.0, 1.0), (0.0, 0.25), (0.0, 0.0625)]
-    assert p31_panels[0] == (0.0, 1.0)
-    assert all(lo > 0.0 for lo, _ in p31_panels[1:])
+    assert extensions[0] == (0, 0.0, 1.0)
+    assert all(k == 0 and lo > 0.0 for k, lo, _ in extensions[1:])
     # ∫_0^1 s^(alpha-1) ln s ds = -1/alpha^2
     assert abs(r.value + 4.0) <= max(r.err_estimate, 1e-12)
 
@@ -282,13 +269,28 @@ def derivatives(monkeypatch):
     ],
 )
 def test_a_smooth_whole_range_is_extended_to_p63(
-    evaluations, gk15_panels, p31_panels, source, alpha, a, t, exact
+    evaluations, gk15_panels, extensions, source, alpha, a, t, exact
 ):
     # Reference: mpmath at 50 digits.
     r = integral(F(source), alpha, a, t)
     assert len(evaluations) == 63
-    assert gk15_panels == p31_panels == [(0.0, (t - a) ** (alpha / 2))]
+    whole = (0.0, (t - a) ** (alpha / 2))
+    assert gk15_panels == [whole]
+    assert extensions == [(0, *whole), (1, *whole)]
     assert abs(r.value - exact) <= max(r.err_estimate, 1e-14 * exact)
+
+
+def test_only_the_whole_range_takes_p63_and_only_once(gk15_panels, extensions):
+    # v cos(v^(40/3)) defeats P63 too, so the whole range splits after it;
+    # then each child away from 0 takes P31 alone, at most once, and the
+    # child at 0 none.  Reference: mpmath at 40 digits.
+    r = integral(F("cos(t^2)"), 0.3, 0.0, 4.0)
+    whole = gk15_panels[0]
+    assert extensions[:2] == [(0, *whole), (1, *whole)]
+    children = extensions[2:]
+    assert len(set(children)) == len(children) == 6
+    assert all(k == 0 and lo > 0.0 for k, lo, _ in children)
+    assert abs(r.value - 3.0130100771487766) <= r.err_estimate
 
 
 def test_a_whole_range_the_forward_pair_refuses_at_a_is_split_not_extended(evaluations):
@@ -650,9 +652,9 @@ def _reference_p31(fn, lo, hi, values):
     the new pair sums are appended."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    resp = quad._WPK[7] * values[0]
-    for j in range(7):
-        resp += quad._WPK[j] * values[1 + j]
+    resp = quad._WPK[0] * values[0]
+    for j in range(1, 8):
+        resp += quad._WPK[j] * values[j]
     for xp, wp in zip(quad._XP, quad._WP):
         pair = fn(center - half * xp) + fn(center + half * xp)
         resp += wp * pair
@@ -681,12 +683,9 @@ def _reference_panel(point, f, av, inv, lo, hi):
     return _reference_gk15(_node_rule(point, f, av, inv), lo, hi)
 
 
-def _reference_extension(point, f, av, inv, lo, hi, values):
-    return _reference_p31(_node_rule(point, f, av, inv), lo, hi, values)
-
-
-def _reference_second_extension(point, f, av, inv, lo, hi, values):
-    return _reference_p63(_node_rule(point, f, av, inv), lo, hi, values)
+def _reference_extension(point, f, av, inv, lo, hi, values, k):
+    reference = (_reference_p31, _reference_p63)[k]
+    return reference(_node_rule(point, f, av, inv), lo, hi, values)
 
 
 def _outcome(fn, *args):
@@ -739,6 +738,5 @@ def test_panel_matches_the_closure_form_bit_for_bit(case):
     outcomes = [_outcome(op, f, alpha, a, t) for op in operators]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quad, "_gk15", _reference_panel)
-        mp.setattr(quad, "_p31", _reference_extension)
-        mp.setattr(quad, "_p63", _reference_second_extension)
+        mp.setattr(quad, "_extend", _reference_extension)
         assert [_outcome(op, f, alpha, a, t) for op in operators] == outcomes
