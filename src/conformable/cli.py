@@ -149,7 +149,7 @@ def _cmd_sweep(args) -> int:
                 r = integral(f, alpha, args.a, t)
             else:
                 r = _derivative(f, alpha, args.a, t, args.mode, args.method)
-        except (DomainError, NonFiniteError) as exc:
+        except (DomainError, NonFiniteError, ConvergenceError) as exc:
             print(f"error: {args.var}={_CSV % v}: {exc}", file=sys.stderr)
             rows.append((v, "", "", "error"))
             continue

@@ -178,16 +178,18 @@ def _tableau(n: int, m: int) -> Callable:
     return namespace["_t"]
 
 
-def _limit_of_power_sequence(values: Sequence[float]) -> tuple[float | None, float, str | None]:
-    """Limit of values sampled on a geometric mesh h_k = h0 * _SHRINK^k.
+def right_limit(g: PointFunc) -> tuple[float | None, float, str | None]:
+    """Limit of g(h) as h -> 0+, from g on the mesh h_k = 1e-2 * 0.5^k, k < 12.
 
+    g takes the offset h from the terminal, not the point a + h.  It is
+    called in order of decreasing h, and an exception it raises propagates.
     Assumes an error expansion C*h^p + O(h^(p+1)) with unknown p > 0; the
     leading exponent is estimated from successive difference ratios and
     eliminated together with its integer-offset ladder.  Returns
-    ``(limit, err, None)`` on success and ``(None, 0.0, reason)`` when the
-    sequence is detected as non-convergent.  Detection is a heuristic, not
-    a proof.
+    ``(limit, err, None)``, or ``(None, 0.0, reason)`` when the samples are
+    detected as non-convergent; the detection is a heuristic, not a proof.
     """
+    values = [g(_TERMINAL_OFFSET * _SHRINK**k) for k in range(_LEVELS)]
     ratio = 1.0 / _SHRINK
     scale = max(abs(v) for v in values)
     if scale > _DIVERGENCE_CAP:
@@ -225,18 +227,6 @@ def _limit_of_power_sequence(values: Sequence[float]) -> tuple[float | None, flo
     if err <= _CAUCHY_TOL * max(1.0, abs(val)):
         return val, err, None
     return None, 0.0, "extrapolation toward the terminal did not converge"
-
-
-def right_limit(g: PointFunc) -> tuple[float | None, float, str | None]:
-    """Limit of g(h) as h -> 0+, from g on the mesh h_k = 1e-2 * 0.5^k, k < 12.
-
-    g takes the offset h from the terminal, not the point a + h.  It is
-    called in order of decreasing h, and an exception it raises propagates.
-    Returns ``(limit, err, None)``, or ``(None, 0.0, reason)`` when the
-    samples are detected as non-convergent; the detection is a heuristic,
-    not a proof.
-    """
-    return _limit_of_power_sequence([g(_TERMINAL_OFFSET * _SHRINK**k) for k in range(_LEVELS)])
 
 
 def _usable_ratios(diffs: Sequence[float], tiny: float) -> list[float]:
@@ -477,7 +467,6 @@ def order_convert(
     t: float,
 ) -> float:
     """Convert a derivative of order beta at interior t into one of order alpha."""
-    al = checked_order(alpha)
     be = checked_order(beta)
-    _, av, t = checked_interior(al, a, t)
+    al, av, t = checked_interior(alpha, a, t)
     return positive_power(t - av, be - al) * value

@@ -59,9 +59,9 @@ __all__ = [
     "unparse",
 ]
 
-# Deepest accepted nesting.  Hashing, comparing and printing an AST recurse
-# (up to three frames a level), so this stays well under the interpreter's
-# recursion limit.
+# Deepest accepted nesting.  Hashing, comparing, printing and lowering an
+# AST recurse (up to three frames a level), so this stays well under the
+# interpreter's recursion limit.
 MAX_DEPTH = 100
 
 # Entries of the memo of `parse`, keyed by source text.
@@ -479,49 +479,38 @@ def _deriv_of(operand: str) -> str:
 def _lower(body: Expr, pair: bool) -> str:
     """Source of ``_f(t)``: one path of `body` as straight-line SSA code.
 
-    Walks the tree iteratively in post-order, left operand first.  Equal
+    Lowers each node after its operands, left operand first.  Equal
     subtrees get one SSA name, as they compute equal values.
     """
     skip, own = ("f ", "d ") if pair else ("d ", "f ")
     lines = ["def _f(t):"]
     numbered: dict[tuple, str] = {}
-    done: list[str] = []  # the operand of each finished node: literal, t or v<n>
-    todo: list[tuple[Expr, bool]] = [(body, False)]
-    while todo:
-        node, ready = todo.pop()
+
+    def operand(node: Expr) -> str:
+        """The operand naming the value of `node`: a literal, t or v<n>."""
         if isinstance(node, Const):
-            done.append(_literal(node.value))
-            continue
+            return _literal(node.value)
         if isinstance(node, Var):
-            done.append("t")
-            continue
+            return "t"
         if isinstance(node, BinOp):
-            op, children = node.op, (node.left, node.right)
+            op, a, b = node.op, operand(node.left), operand(node.right)
         elif isinstance(node, Neg):
-            op, children = "u-", (node.operand,)
+            op, a, b = "u-", operand(node.operand), ""
         elif isinstance(node, Call):
-            op, children = node.func, (node.arg,)
+            op, a, b = node.func, operand(node.arg), ""
         else:
             raise TypeError(f"not an expression node: {node!r}")
-        if not ready:
-            todo.append((node, True))
-            todo.extend((child, False) for child in reversed(children))
-            continue
-        operands = done[-len(children):]
-        del done[-len(children):]
-        key = (op, *operands)
-        name = numbered.get(key)
+        name = numbered.get((op, a, b))
         if name is None:
-            name = numbered[key] = f"v{len(numbered) + 1}"
-            a, b = operands if len(operands) == 2 else (operands[0], "")
-            fields = dict(r=name, rd=_deriv_of(name), a=a, ad=_deriv_of(a),
-                          b=b, bd=_deriv_of(b))
             if op not in _RULES:
                 raise UnknownIdentifierError(op, 0, _NAMES_EXPECTED)
-            lines += ["    " + line.removeprefix(own).format(**fields)
-                      for line in _RULES[op] if not line.startswith(skip)]
-        done.append(name)
-    (root,) = done
+            name = numbered[op, a, b] = f"v{len(numbered) + 1}"
+            fields = dict(r=name, rd=_deriv_of(name), a=a, ad=_deriv_of(a), b=b, bd=_deriv_of(b))
+            lines.extend("    " + line.removeprefix(own).format(**fields)
+                         for line in _RULES[op] if not line.startswith(skip))
+        return name
+
+    root = operand(body)
     lines.append(f"    return {root}, {_deriv_of(root)}" if pair else f"    return {root}")
     return "\n".join(lines) + "\n"
 

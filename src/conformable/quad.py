@@ -413,7 +413,9 @@ def deriv_of_integral(f: FuncSpec, alpha: float, a: float, t: float) -> EvalResu
         # The node rule at order 1, from the probe's own left end: s = lo + v^2.
         return _adaptive_quad(weighted, f, lo, 2.0, math.sqrt(hi - lo), _PROBE_TOL, _PROBE_TOL)[0]
 
-    return deriv_limit(lambda x: -probe(x, t) if x < t else probe(t, x), al, av, t)
+    # The probe at x = t, which `deriv_limit` takes first, spans [t, t]: it is 0.
+    return deriv_limit(lambda x: -probe(x, t) if x < t else probe(t, x) if x > t else 0.0,
+                       al, av, t)
 
 
 def integral_of_deriv(f: FuncSpec, alpha: float, a: float, t: float) -> EvalResult:

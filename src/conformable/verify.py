@@ -461,8 +461,6 @@ def check_inverses(mode: TerminalMode, results: _Results | None = None) -> Check
             for alpha in COMPOSITION_ALPHAS:
                 for off in COMPOSITION_OFFSETS:
                     t = a + off
-                    if entry.kink_offset is not None and abs(off - entry.kink_offset) < 0.25:
-                        continue
                     if entry.jump is None:  # left inverse needs continuity on [a, t]
                         r = results(deriv_of_integral, f, alpha, a, t)
                         col.result(

@@ -639,6 +639,25 @@ def test_sweep_through_a_domain_error_writes_every_row(capsys):
     ]
 
 
+def test_sweep_through_a_divergent_integral_writes_every_row(capsys):
+    # The integral of s^(alpha-1) s^-0.5 over [0, 1] diverges for alpha <= 0.5
+    # and is 1 / (alpha - 0.5) above.
+    code, out, err = run(
+        capsys, "sweep", "--var", "alpha", "--start", "0.1", "--stop", "1", "--steps", "4",
+        "--expr", "t^-0.5", "--a", "0", "--t", "1", "--op", "integ",
+    )
+    assert code == 1
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["status"] for r in rows] == ["error", "error", "ok", "ok"]
+    assert all(r["value"] == r["err"] == "" for r in rows[:2])
+    assert float(rows[2]["value"]) == pytest.approx(5.0, rel=1e-9)
+    assert float(rows[3]["value"]) == 2.0
+    assert err.splitlines() == [
+        f"error: alpha={p}: quadrature diverged: value or error bound is not finite"
+        for p in ("0.10000000000000001", "0.40000000000000002")
+    ]
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -260,6 +260,13 @@ def test_limit_where_f_kinks_still_has_disagreeing_one_sided_limits():
     assert deriv_limit(F("abs(t-1)"), 1.0, 0.0, 1.0).reason == "one-sided limits disagree"
 
 
+def test_limit_at_the_left_edge_of_a_square_root_does_not_exist():
+    # Every backward probe is undefined, so the forward quotients theta^-0.5
+    # decide alone, and they converge in neither powers of theta nor of its root.
+    r = deriv_limit(F("sqrt(t-1)"), 1.0, 0.0, 1.0)
+    assert r.reason == "extrapolated difference quotients are not Cauchy"
+
+
 @pytest.mark.parametrize(
     "source",
     [
@@ -530,17 +537,33 @@ def test_fast_checks_pass_instances_through():
 
 def test_right_limit_of_convergent_input_is_the_extrapolated_mesh():
     g = lambda h: 2.0 + 3.0 * h + h * h  # noqa: E731
-    limit, err, why = right_limit(g)
+    limit, _, why = right_limit(g)
     assert why is None
     assert abs(limit - 2.0) <= 1e-12
-    mesh = [g(1e-2 * 0.5**k) for k in range(12)]
-    assert (limit, err, why) == core._limit_of_power_sequence(mesh)
 
 
 def test_right_limit_of_oscillating_input_does_not_exist():
     assert right_limit(lambda h: math.sin(math.log(h))) == (
         None, 0.0, "mesh values do not contract toward a limit"
     )
+
+
+def test_right_limit_past_the_divergence_cap_does_not_exist():
+    assert right_limit(lambda h: h**-3) == (None, 0.0, "values exceed the divergence cap")
+
+
+def test_right_limit_from_exactly_two_usable_ratios():
+    # Linear in h on the first four mesh points, then noise of 1e-3 that
+    # alternates in sign: the first two difference ratios are 0.5 and the
+    # third breaks off, so two are usable.  The plain Cauchy test, which
+    # decides where fewer are, would refuse the noisy tail.
+    mesh = [1e-2 * 0.5**k for k in range(12)]
+    values = [2.0 + 3.0 * h if k < 4 else 2.0 + (-1) ** k * 1e-3 for k, h in enumerate(mesh)]
+    diffs = [q - p for p, q in zip(values, values[1:])]
+    assert len(core._usable_ratios(diffs, 64.0 * core._EPS * max(values))) == 2
+    limit, err, why = right_limit(lambda h: values[mesh.index(h)])
+    assert why is None
+    assert abs(limit - 2.0) <= 1e-12 and err <= 1e-12
 
 
 def test_right_limit_of_fast_oscillation_does_not_exist():

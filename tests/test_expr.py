@@ -4,6 +4,7 @@ import math
 import pickle
 import re
 import struct
+import sys
 import tokenize
 
 import pytest
@@ -108,6 +109,18 @@ def test_parse_trailing_garbage():
     assert exc.value.offset == 2
 
 
+@pytest.mark.parametrize(
+    "source, op, offset", [("*t", "*", 0), (")", ")", 0), ("t+*1", "*", 2), ("sin(,)", ",", 4)]
+)
+def test_parse_operator_where_an_operand_belongs(source, op, offset):
+    with pytest.raises(ParseError) as exc:
+        parse(source)
+    assert type(exc.value) is ParseError
+    assert exc.value.message == f"unexpected {op!r}"
+    assert exc.value.offset == offset
+    assert exc.value.expected == {"a number", "'t'", "a function name", "'('", "'-'"}
+
+
 def test_parse_unexpected_character():
     with pytest.raises(ParseError) as exc:
         parse("t % 2")
@@ -140,6 +153,17 @@ def test_parse_at_depth_limit():
         assert hash(node) == hash(parse(unparse(node)))
         assert node == parse(unparse(node))
         assert repr(node).startswith(type(node).__name__)
+
+
+def test_hand_built_tree_past_the_recursion_limit_is_refused_by_every_walk():
+    # The parser stops at MAX_DEPTH; a tree built by hand far deeper meets
+    # the interpreter's recursion limit in every walk, lowering included.
+    node = Var()
+    for _ in range(sys.getrecursionlimit() + 500):
+        node = BinOp("+", node, Var())
+    for walk in (hash, unparse, lambda n: evaluate_body(FuncSpec(n), 1.0)):
+        with pytest.raises(RecursionError):
+            walk(node)
 
 
 @pytest.mark.parametrize(
@@ -211,6 +235,13 @@ def test_jump_applies_only_at_terminal():
     assert evaluate(f, 0.0, 0.0) == 5.0
     assert evaluate(f, 0.001, 0.0) == 0.001
     assert evaluate_body(f, 0.0) == 0.0
+
+
+def test_jump_that_overflows_the_value_is_nonfinite():
+    f = FuncSpec.from_source("1e308", jump_at_terminal=1e308)
+    assert evaluate(f, 1.0, 0.0) == 1e308
+    with pytest.raises(NonFiniteError, match=r"^non-finite result inf at t=0\.0$"):
+        evaluate(f, 0.0, 0.0)
 
 
 def test_zero_jump_matches_body():

@@ -5,7 +5,7 @@ import pytest
 
 import conformable.expr as expr
 import conformable.verify as verify
-from conformable import TerminalMode
+from conformable import EvalResult, TerminalMode
 from conformable.verify import (
     CHECK_IDS,
     CHECKLIST_IDS,
@@ -190,3 +190,54 @@ def test_each_operator_result_is_computed_once_per_run(monkeypatch):
         ] + check_terminal_checklist(mode)
         assert alone == [expected[(o.check_id, mode)] for o in alone]
         assert [o.check_id for o in alone] == list(CHECK_IDS)
+
+
+def test_left_inverse_is_judged_at_the_kink(monkeypatch):
+    # T(I abs_shift) at t - a = 1, on the kink, is computed and passes: one
+    # row per terminal and composition order.
+    rows = []
+
+    def recorded(f, alpha, a, t, _op=verify.deriv_of_integral):
+        if f == registry_for(a)["abs_shift"] and t - a == 1.0:
+            rows.append((alpha, a))
+        return _op(f, alpha, a, t)
+
+    monkeypatch.setattr(verify, "deriv_of_integral", recorded)
+    assert check_inverses(CORRECTED).status == "pass"
+    assert sorted(rows) == sorted(
+        (alpha, a) for alpha in verify.COMPOSITION_ALPHAS for a in verify.TERMINALS
+    )
+
+
+def _small_grid(monkeypatch):
+    monkeypatch.setattr(verify, "TERMINALS", (0.0,))
+    monkeypatch.setattr(verify, "COMPOSITION_ALPHAS", (0.5,))
+    monkeypatch.setattr(verify, "COMPOSITION_OFFSETS", (1.0,))
+
+
+def test_a_wrong_operator_value_fails_its_check(monkeypatch):
+    _small_grid(monkeypatch)
+    assert check_inverses(CORRECTED).status == "pass"
+
+    def off_by_1e_3(*args, _op=verify.integral_of_deriv):
+        r = _op(*args)
+        return EvalResult.of(r.value + 1e-3, r.err_estimate) if r.exists else r
+
+    monkeypatch.setattr(verify, "integral_of_deriv", off_by_1e_3)
+    outcome = check_inverses(CORRECTED)
+    assert outcome.status == "fail"
+    assert outcome.witnesses
+    for w in outcome.witnesses:
+        assert w.function.startswith("I(T ") and w.tolerance is not None
+        assert abs(w.measured - w.expected) > w.tolerance
+
+
+def test_a_missing_right_limit_fails_the_continuity_check(monkeypatch):
+    assert check_continuity_implication(CORRECTED).status == "pass"
+    monkeypatch.setattr(verify, "right_limit", lambda g: (None, 0.0, "no limit"))
+    outcome = check_continuity_implication(CORRECTED)
+    assert outcome.status == "fail"
+    assert outcome.witnesses
+    for w in outcome.witnesses:
+        assert w.measured.endswith("; right oscillation no finite right limit")
+        assert w.expected == "differentiability implies right continuity"
